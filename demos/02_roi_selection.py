@@ -32,8 +32,8 @@ for row in img.pixels:
     print("  " + " ".join(f"{v:3d}" for v in row))
 print()
 
-pixelwise = select_regions(img, RoiConfig(mode="pixelwise", sn=2), seed=0)
+pixelwise = select_regions(img, RoiConfig(mode="pixelwise", sn=2))
 show_masks("pixelwise (2 intensity clusters):", img, pixelwise)
 
-blockwise = select_regions(img, RoiConfig(mode="blockwise", block_size=4), seed=0)
+blockwise = select_regions(img, RoiConfig(mode="blockwise", block_size=4))
 show_masks("blockwise (4x4 tiles, row-major):", img, blockwise)

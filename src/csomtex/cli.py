@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 integrity error.
 Outputs are built in memory and written only after a command has fully
-succeeded, so a failing run never leaves partial files behind.
+succeeded, each file atomically, so a failing run never leaves partial
+files behind.
 """
 
 from __future__ import annotations
@@ -10,41 +11,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import defaultdict
 from dataclasses import replace as dc_replace
 
 import numpy as np
 
 from . import __version__
-from .config import ToolConfig, load_config
-from .csom import classify, classify_dataset, train_csom, transform_append, transform_replace
-from .data import (
-    UNLABELED,
-    Dataset,
-    dataset_to_csv,
-    read_dataset,
-)
+from .config import EvalColumn, ToolConfig, load_config
+from .csom import classify, classify_dataset
+from .data import UNLABELED, Dataset, dataset_to_csv, read_dataset, read_text, write_atomic
 from .errors import DataError, FormatError, IntegrityError
-from .evaluation import run_experiment
-from .fisher import fit_fisher, project, project_dataset
+from .evaluation import MODES, FittedPipeline, run_experiments
+from .fisher import project, project_dataset
 from .imaging import load_pgm, preprocess, quantize
-from .model_io import MODES, SavedModel, load_model, save_model
+from .model_io import load_model, save_model
 from .roi import mask_to_rle, select_regions
-from .som import TrainingSchedule, append_prototypes, init_map, replace_with_prototypes, train
 from .texture import extract_features
-
-
-def _schedule(cfg: ToolConfig, n_samples: int, seed: int) -> TrainingSchedule:
-    sigma0 = cfg.sigma0
-    if sigma0 is None:
-        sigma0 = max(max(cfg.map_rows, cfg.map_cols) / 2.0, cfg.sigma_final)
-    return TrainingSchedule(
-        iterations=max(1, cfg.steps_per_sample * n_samples),
-        alpha0=cfg.alpha0,
-        alpha_final=cfg.alpha_final,
-        sigma0=sigma0,
-        sigma_final=cfg.sigma_final,
-        seed=seed,
-    )
 
 
 def read_manifest(path) -> list[tuple[str, int]]:
@@ -54,47 +36,45 @@ def read_manifest(path) -> list[tuple[str, int]]:
     up to the last comma, so they may themselves contain commas.
     """
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, sep, cls = line.rpartition(",")
-            if not sep:
-                name, cls = line, ""
-            name = name.strip()
-            cls = cls.strip()
-            if not name:
-                raise FormatError(f"{path}:{lineno}: missing filename")
-            if cls:
-                try:
-                    label = int(cls)
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: bad class id {cls!r}") from exc
-                if label < 0:
-                    raise FormatError(f"{path}:{lineno}: class ids must be >= 0")
-            else:
-                label = UNLABELED
-            entries.append((name, label))
+    for lineno, line in enumerate(read_text(path, "utf-8").split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, sep, cls = line.rpartition(",")
+        if not sep:
+            name, cls = line, ""
+        name = name.strip()
+        cls = cls.strip()
+        if not name:
+            raise FormatError(f"{path}:{lineno}: missing filename")
+        if cls:
+            try:
+                label = int(cls)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad class id {cls!r}") from exc
+            if label < 0:
+                raise FormatError(f"{path}:{lineno}: class ids must be >= 0")
+        else:
+            label = UNLABELED
+        entries.append((name, label))
     if not entries:
         raise ValueError(f"manifest {path} lists no images")
     return entries
 
 
 def _load_tool_config(args) -> ToolConfig:
-    cfg = load_config(args.config) if args.config else ToolConfig()
-    if getattr(args, "jobs", None) is not None:
-        cfg = dc_replace(cfg, jobs=args.jobs)
-    return cfg
+    return load_config(args.config) if args.config else ToolConfig()
 
 
-def _seed(args, cfg: ToolConfig) -> int:
-    return args.seed if args.seed is not None else cfg.seed
+def _emit(path, text: str) -> None:
+    if path:
+        write_atomic(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_extract(args) -> int:
     cfg = _load_tool_config(args)
-    seed = _seed(args, cfg)
     entries = read_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
     rows = []
@@ -110,11 +90,10 @@ def cmd_extract(args) -> int:
         img = load_pgm(raw)
         img = preprocess(img, cfg.preprocess)
         img = quantize(img, cfg.texture.levels)
-        rows.append(extract_features(img, cfg.roi, cfg.texture, seed=seed, name=name))
+        rows.append(extract_features(img, cfg.roi, cfg.texture, name=name))
         labels.append(label)
         if args.dump_masks:
-            regions = select_regions(img, cfg.roi, seed)
-            text = "".join(mask_to_rle(m) + "\n" for m in regions)
+            text = "".join(mask_to_rle(m) + "\n" for m in select_regions(img, cfg.roi))
             stem = os.path.splitext(os.path.basename(name))[0]
             mask_dumps.append((f"{stem}.masks.txt", text))
     label_arr = np.array(labels, dtype=np.int64)
@@ -123,10 +102,8 @@ def cmd_extract(args) -> int:
     if args.dump_masks:
         os.makedirs(args.dump_masks, exist_ok=True)
         for fname, text in mask_dumps:
-            with open(os.path.join(args.dump_masks, fname), "w", encoding="ascii") as fh:
-                fh.write(text)
-    with open(args.output, "w", encoding="ascii", newline="") as fh:
-        fh.write(csv_text)
+            write_atomic(os.path.join(args.dump_masks, fname), text)
+    write_atomic(args.output, csv_text)
     return 0
 
 
@@ -146,43 +123,19 @@ def _pipeline_echo(cfg: ToolConfig, fisher_dim: int) -> tuple:
 
 def cmd_train(args) -> int:
     cfg = _load_tool_config(args)
-    seed = _seed(args, cfg)
-    data = read_dataset(args.features)
-    proj = fit_fisher(data, cfg.fisher_dim)
-    z = project_dataset(proj, data)
-    sched = _schedule(cfg, z.n, seed)
-    echo = _pipeline_echo(cfg, proj.dim)
-    if args.single_som:
-        som = init_map(cfg.map_rows, cfg.map_cols, z.dim, seed=seed, data=z)
-        som = train(som, z, sched)
-        model = SavedModel(fisher=proj, som=som, mode=args.mode, pipeline=echo)
-    else:
-        csom = train_csom(z, cfg.map_rows, cfg.map_cols, sched, jobs=cfg.jobs)
-        model = SavedModel(fisher=proj, csom=csom, mode=args.mode, pipeline=echo)
-    save_model(args.output, model)
+    kind = "som" if args.single_som else "csom"
+    seed = cfg.seed if args.seed is None else args.seed
+    column = EvalColumn(f"{kind}-{args.mode}", cfg.map_rows, cfg.map_cols, kind)
+    model = FittedPipeline.fit(
+        read_dataset(args.features), cfg.experiment(column, cfg.classifier, seed)
+    )
+    save_model(args.output, dc_replace(model, echo=_pipeline_echo(cfg, model.fisher.dim)))
     return 0
-
-
-def _model_transform(model: SavedModel, data: Dataset, mode: str) -> Dataset:
-    z = project_dataset(model.fisher, data)
-    if model.single_som:
-        fn = replace_with_prototypes if mode == "replace" else append_prototypes
-        return fn(model.som, z)
-    fn = transform_replace if mode == "replace" else transform_append
-    return fn(model.csom, z)
 
 
 def cmd_transform(args) -> int:
     model = load_model(args.model)
-    data = read_dataset(args.features)
-    mode = args.mode if args.mode is not None else model.mode
-    out = _model_transform(model, data, mode)
-    text = dataset_to_csv(out)
-    if args.output:
-        with open(args.output, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.output, dataset_to_csv(model.transform(read_dataset(args.features), args.mode)))
     return 0
 
 
@@ -222,8 +175,7 @@ def cmd_classify(args) -> int:
     lines = [",".join(header + err_cols)]
     correct = 0
     total = 0
-    jobs = args.jobs if args.jobs is not None else 1
-    preds, errors = classify_dataset(model.csom, feats.without_labels(), jobs=jobs)
+    preds, errors = classify_dataset(model.csom, feats.without_labels())
     for i, cid in enumerate(preds):
         cells = [str(i), str(int(cid))]
         if labeled:
@@ -235,12 +187,7 @@ def cmd_classify(args) -> int:
         if args.errors:
             cells.extend(format(float(e), ".17g") for e in errors[i])
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.output, "\n".join(lines) + "\n")
     if labeled and total:
         print(f"accuracy {correct / total:.4f} ({correct}/{total})", file=sys.stderr)
     return 0
@@ -258,37 +205,34 @@ def _format_table(column_labels, classifiers, cell) -> str:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_tool_config(args)
-    if args.seed is not None:
-        cfg = dc_replace(cfg, eval_seeds=(args.seed,))
+    seeds = cfg.eval_seeds if args.seed is None else (args.seed,)
     data = read_dataset(args.features)
-    means = {}
+    cells = [(clf, col, seed) for clf in cfg.classifiers for col in cfg.columns for seed in seeds]
+    reports = run_experiments(data, [cfg.experiment(col, clf, seed) for clf, col, seed in cells])
+    per_seed = defaultdict(list)
     csv_lines = ["classifier,column,pipeline,map,seed,fold,accuracy"]
-    for clf in cfg.classifiers:
-        for col in cfg.columns:
-            per_seed = []
-            for seed in cfg.eval_seeds:
-                report = run_experiment(data, cfg.experiment(col, clf, seed))
-                per_seed.append(report.mean_accuracy)
-                for fold, acc in enumerate(report.fold_accuracies):
-                    csv_lines.append(
-                        f"{clf},{col.label},{col.pipeline},"
-                        f"{col.rows}x{col.cols},{seed},{fold},{acc:.6f}"
-                    )
-            means[clf, col.label] = float(np.mean(per_seed))
+    for (clf, col, seed), report in zip(cells, reports):
+        per_seed[clf, col.label].append(report.mean_accuracy)
+        for fold, acc in enumerate(report.fold_accuracies):
+            csv_lines.append(
+                f"{clf},{col.label},{col.pipeline},"
+                f"{col.rows}x{col.cols},{seed},{fold},{acc:.6f}"
+            )
     labels = [c.label for c in cfg.columns]
-    table = _format_table(labels, cfg.classifiers, lambda c, lbl: format(means[c, lbl], ".4f"))
+    table = _format_table(
+        labels, cfg.classifiers, lambda c, lbl: format(float(np.mean(per_seed[c, lbl])), ".4f")
+    )
     sys.stdout.write(table)
     if args.output:
-        with open(args.output, "w", encoding="ascii", newline="") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
+        write_atomic(args.output, "\n".join(csv_lines) + "\n")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--jobs", type=int, help="parallel workers for map training")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, help="override the config seed (evaluate: seed list)")
 
     parser = argparse.ArgumentParser(
         prog="csomtex",
@@ -297,27 +241,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", parents=[common], help="images to feature vectors")
+    p = sub.add_parser("extract", parents=[config], help="images to feature vectors")
     p.add_argument("manifest", help="text file of 'filename,class_id' lines")
     p.add_argument("-o", "--output", required=True, help="features CSV to write")
     p.add_argument("--dump-masks", metavar="DIR", help="also write region masks as RLE text")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", parents=[common], help="fit projection and maps")
+    p = sub.add_parser("train", parents=[config, seed], help="fit projection and maps")
     p.add_argument("features", help="labeled features CSV")
     p.add_argument("-o", "--output", required=True, help="model file to write")
     p.add_argument("--single-som", action="store_true", help="one pooled map, not per-class")
     p.add_argument("--mode", choices=MODES, default="replace", help="stored transform mode")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("transform", parents=[common], help="map features to prototypes")
+    p = sub.add_parser("transform", help="map features to prototypes")
     p.add_argument("model", help="model file from train")
     p.add_argument("features", help="features CSV")
     p.add_argument("-o", "--output", help="output CSV (default: stdout)")
     p.add_argument("--mode", choices=MODES, help="override the stored transform mode")
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("classify", parents=[common], help="winner-take-all class labels")
+    p = sub.add_parser("classify", help="winner-take-all class labels")
     p.add_argument("model", help="model file from train")
     p.add_argument("features", nargs="?", help="features CSV")
     p.add_argument("--vector", help="classify one comma-separated raw feature vector")
@@ -325,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--errors", action="store_true", help="include per-class map errors")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("evaluate", parents=[common], help="cross-validated pipeline grid")
+    p = sub.add_parser("evaluate", parents=[config, seed], help="cross-validated pipeline grid")
     p.add_argument("features", help="labeled features CSV")
     p.add_argument("-o", "--output", help="per-fold accuracies CSV")
     p.set_defaults(func=cmd_evaluate)

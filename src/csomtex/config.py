@@ -8,105 +8,73 @@ hard stop.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from .data import read_text
 from .errors import DataError
-from .evaluation import CLASSIFIERS, EVAL_MODES, PIPELINES, ExperimentConfig
+from .evaluation import CLASSIFIERS, PIPELINES, ExperimentConfig
 from .imaging import PreprocessConfig
 from .roi import RoiConfig
 from .texture import TextureConfig
 
-DEFAULT_PIPELINES = PIPELINES
-DEFAULT_CLASSIFIERS = CLASSIFIERS
-
 
 @dataclass(frozen=True)
 class EvalColumn:
-    """One column of the comparison table: a pipeline at a map size."""
+    """One column of the comparison table: a pipeline at a map size.  The
+    pipeline and grid are checked with the rest of the ToolConfig."""
 
     pipeline: str
     rows: int
     cols: int
     label: str
 
-    def __post_init__(self) -> None:
-        if self.pipeline not in PIPELINES:
-            raise ValueError(
-                f"unknown pipeline {self.pipeline!r}; valid names: {', '.join(PIPELINES)}"
-            )
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("map grid dimensions must be >= 1")
-        if not self.label:
-            raise ValueError("column label must be non-empty")
-
 
 @dataclass
-class ToolConfig:
-    seed: int = 0
-    jobs: int = 1
+class ToolConfig(ExperimentConfig):
+    """Settings of every command: extraction, the model and the evaluate grid.
+
+    The model and evaluation settings are ExperimentConfig's, checked there;
+    ``pipeline`` is not settable (each command names its own).  Every grid
+    cell is checked on construction, so a setting ``evaluate`` rejects fails
+    every command before any input is read.
+    """
+
+    pipeline: str = field(default="csom-replace", init=False, repr=False)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     roi: RoiConfig = field(default_factory=RoiConfig)
     texture: TextureConfig = field(default_factory=TextureConfig)
-    fisher_dim: int | None = None
-    map_rows: int = 5
-    map_cols: int = 5
-    steps_per_sample: int = 100
-    alpha0: float = 0.5
-    alpha_final: float = 0.01
-    sigma0: float | None = None
-    sigma_final: float = 0.5
-    classifier: str = "knn"
-    knn_k: int = 1
-    folds: int = 10
     columns: tuple | None = None  # None: every pipeline at the config map size
-    classifiers: tuple = DEFAULT_CLASSIFIERS
+    classifiers: tuple = CLASSIFIERS
     eval_seeds: tuple = (0,)
-    eval_mode: str = "cv"
-    holdout_counts: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.map_rows < 1 or self.map_cols < 1:
-            raise ValueError("map grid dimensions must be >= 1")
-        if self.classifier not in CLASSIFIERS:
-            raise ValueError(f"classifier must be one of {CLASSIFIERS}")
-        if self.eval_mode not in EVAL_MODES:
-            raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
+        super().__post_init__()
         if self.columns is None:
             self.columns = tuple(
-                EvalColumn(p, self.map_rows, self.map_cols, p) for p in DEFAULT_PIPELINES
+                EvalColumn(p, self.map_rows, self.map_cols, p) for p in PIPELINES
             )
-        labels = [c.label for c in self.columns]
-        if len(set(labels)) != len(labels):
-            raise ValueError("evaluate column labels must be unique")
-        for c in self.classifiers:
-            if c not in CLASSIFIERS:
-                raise ValueError(
-                    f"unknown classifier {c!r}; valid names: {', '.join(CLASSIFIERS)}"
-                )
         if not self.columns or not self.classifiers or not self.eval_seeds:
             raise ValueError("columns, classifiers and eval_seeds must be non-empty")
+        labels = [c.label for c in self.columns]
+        if not all(labels):
+            raise ValueError("column label must be non-empty")
+        if len(set(labels)) != len(labels):
+            raise ValueError("evaluate column labels must be unique")
+        for column in self.columns:
+            for classifier in self.classifiers:
+                self.experiment(column, classifier, self.seed)
 
     def experiment(self, column: EvalColumn, classifier: str, seed: int) -> ExperimentConfig:
-        return ExperimentConfig(
+        """The settings of one grid cell."""
+        shared = {f.name: getattr(self, f.name) for f in fields(ExperimentConfig)}
+        shared.update(
             pipeline=column.pipeline,
             classifier=classifier,
-            knn_k=self.knn_k,
             map_rows=column.rows,
             map_cols=column.cols,
-            fisher_dim=self.fisher_dim,
-            folds=self.folds,
             seed=seed,
-            steps_per_sample=self.steps_per_sample,
-            alpha0=self.alpha0,
-            alpha_final=self.alpha_final,
-            sigma0=self.sigma0,
-            sigma_final=self.sigma_final,
-            eval_mode=self.eval_mode,
-            holdout_counts=self.holdout_counts,
-            jobs=self.jobs,
         )
+        return ExperimentConfig(**shared)
 
 
 def _check_keys(section: str, given: dict, allowed: tuple) -> None:
@@ -164,7 +132,6 @@ def config_from_dict(raw: dict) -> ToolConfig:
         raw,
         (
             "seed",
-            "jobs",
             "preprocess",
             "roi",
             "texture",
@@ -261,7 +228,6 @@ def config_from_dict(raw: dict) -> ToolConfig:
             raise ValueError(f"holdout_counts must map class ids to counts: {exc}") from exc
     return ToolConfig(
         seed=_opt_int(raw, "seed", 0),
-        jobs=_opt_int(raw, "jobs", 1),
         preprocess=preprocess,
         roi=roi,
         texture=texture,
@@ -277,7 +243,7 @@ def config_from_dict(raw: dict) -> ToolConfig:
         knn_k=_opt_int(raw, "knn_k", 1),
         folds=_opt_int(raw, "folds", 10),
         columns=columns,
-        classifiers=_str_list(eval_raw, "classifiers", DEFAULT_CLASSIFIERS),
+        classifiers=_str_list(eval_raw, "classifiers", CLASSIFIERS),
         eval_seeds=seeds,
         eval_mode=_opt_str(eval_raw, "mode", "cv"),
         holdout_counts=holdout_counts,
@@ -285,10 +251,9 @@ def config_from_dict(raw: dict) -> ToolConfig:
 
 
 def load_config(path) -> ToolConfig:
-    """Read a JSON config file.  Malformed JSON is a data problem; invalid
-    settings are usage problems (ValueError)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a JSON config file.  Undecodable bytes and malformed JSON are data
+    problems; invalid settings are usage problems (ValueError)."""
+    text = read_text(path, "utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -3,7 +3,6 @@ prototype feature transforms."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,32 +58,21 @@ def split_by_class(data: Dataset) -> list[tuple[int, Dataset]]:
     ]
 
 
-def train_csom(
-    data: Dataset, rows: int, cols: int, sched: TrainingSchedule, jobs: int = 1
-) -> CsomModel:
+def train_csom(data: Dataset, rows: int, cols: int, sched: TrainingSchedule) -> CsomModel:
     """Train one map per class on that class's rows only.
 
     Each map is initialized with seed ``sched.seed + class_id`` and receives
     a share of ``sched.iterations`` proportional to its class size, so the
     total step budget matches a single pooled map trained with the same
-    schedule.  Trainings are mutually independent; ``jobs`` > 1 runs them on
-    a thread pool without changing the result.
+    schedule.
     """
     groups = split_by_class(data)
     total = sum(sub.n for _, sub in groups)
-
-    def fit(item):
-        cid, sub = item
+    entries = []
+    for cid, sub in groups:
         share = max(1, round(sched.iterations * sub.n / total))
-        sub_sched = derive_schedule(sched, share)
         som = init_map(rows, cols, sub.dim, seed=sched.seed + cid, data=sub)
-        return cid, train(som, sub, sub_sched)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(fit, groups))
-    else:
-        entries = [fit(g) for g in groups]
+        entries.append((cid, train(som, sub, derive_schedule(sched, share))))
     return CsomModel(entries)
 
 
@@ -93,19 +81,12 @@ def _check_dim(model: CsomModel, dim: int) -> None:
         raise ShapeError(f"input dimension {dim} != model dimension {model.dim}")
 
 
-def _error_matrix(model: CsomModel, X: np.ndarray, jobs: int = 1) -> np.ndarray:
+def _error_matrix(model: CsomModel, X: np.ndarray) -> np.ndarray:
     """(n, n_classes) matrix of per-map BMU distances."""
-
-    def per_map(som: SomMap) -> np.ndarray:
-        d = np.linalg.norm(X[:, None, :] - som.weights[None, :, :], axis=2)
-        return d.min(axis=1)
-
-    maps = [som for _, som in model.entries]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cols = list(pool.map(per_map, maps))
-    else:
-        cols = [per_map(som) for som in maps]
+    cols = [
+        np.linalg.norm(X[:, None, :] - som.weights[None, :, :], axis=2).min(axis=1)
+        for _, som in model.entries
+    ]
     return np.stack(cols, axis=1)
 
 
@@ -125,14 +106,12 @@ def classify(model: CsomModel, x) -> tuple[int, np.ndarray]:
     return int(model.class_ids[int(np.argmin(errors))]), errors
 
 
-def classify_dataset(
-    model: CsomModel, data: Dataset, jobs: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+def classify_dataset(model: CsomModel, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Batch classify: (predicted labels, per-class error matrix)."""
     if model.n_classes < 2:
         raise DataError("classification needs a model with at least 2 class maps")
     _check_dim(model, data.dim)
-    errors = _error_matrix(model, data.X, jobs=jobs)
+    errors = _error_matrix(model, data.X)
     preds = model.class_ids[np.argmin(errors, axis=1)]
     return preds, errors
 

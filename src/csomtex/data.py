@@ -1,4 +1,4 @@
-"""Feature datasets and their CSV serialization.
+"""Feature datasets, their CSV serialization, and the package's file I/O.
 
 A dataset is a dense (n, dim) float matrix plus optional integer class
 labels.  The CSV layout is ``f0,...,f{dim-1},label`` with values written at
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +131,51 @@ def dataset_from_csv(text: str) -> Dataset:
         raise FormatError(f"invalid dataset CSV: {exc}") from exc
 
 
+def read_text(path, encoding: str, newline: str | None = None) -> str:
+    """A whole text file.  Bytes the encoding cannot decode raise FormatError:
+    they are bad data, not the usage error their UnicodeDecodeError (a
+    ValueError) would stand for."""
+    try:
+        with open(path, "r", encoding=encoding, newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not {encoding} text: {exc}") from None
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ascii text whole or not at all: into a temporary file beside the
+    target, then renamed over it.  A replaced file keeps its permission bits;
+    a new one gets those a plain open() gives.  Nothing is fsynced.  Symlinks
+    and special files (``/dev/null``, ``/dev/stdout``) are written through
+    with a plain open(), as a rename would replace them."""
+    path = os.fspath(path)
+    data = text.encode("ascii")
+    try:
+        old = os.lstat(path)
+    except OSError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        if old is not None:
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None  # name the target
+        raise
+
+
 def write_dataset(path, data: Dataset) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(dataset_to_csv(data))
+    write_atomic(path, dataset_to_csv(data))
 
 
 def read_dataset(path) -> Dataset:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        return dataset_from_csv(fh.read())
+    return dataset_from_csv(read_text(path, "ascii", newline=""))

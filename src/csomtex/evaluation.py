@@ -1,9 +1,11 @@
-"""Cross-validated comparison of feature pipelines with reference classifiers.
+"""Fitted pipelines and their cross-validated comparison.
 
-Every fold fits its own Fisher projection and map(s) on the training split
-only, transforms both splits, then scores a 1-NN or Gaussian naive Bayes
-classifier on the test split.  Test rows are transformed without their
-labels, mirroring how unseen data would flow through the model.
+A pipeline is a Fisher projection followed by per-class maps, one pooled
+map, or no map (``raw``).  Every fold fits its own projection and map(s) on
+the training split only, transforms both splits, then scores a k-NN or
+Gaussian naive Bayes classifier on the test split.  Test rows are
+transformed without their labels, mirroring how unseen data would flow
+through the model.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .som import (
     TrainingSchedule,
     append_prototypes,
     init_map,
-    quantization_error,
     replace_with_prototypes,
     train,
 )
@@ -29,13 +30,14 @@ from .som import (
 PIPELINES = ("raw", "som-replace", "som-append", "csom-replace", "csom-append")
 CLASSIFIERS = ("knn", "gnb")
 EVAL_MODES = ("cv", "holdout")
+MODES = ("replace", "append")
 
 HOLDOUT_FRACTION = 0.22
 
 
 @dataclass
 class ExperimentConfig:
-    """Knobs for one pipeline/classifier run."""
+    """Settings of one pipeline/classifier run, each checked here once."""
 
     pipeline: str = "csom-replace"
     classifier: str = "knn"
@@ -52,25 +54,33 @@ class ExperimentConfig:
     sigma_final: float = 0.5
     eval_mode: str = "cv"
     holdout_counts: dict | None = None
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.pipeline not in PIPELINES:
-            raise ValueError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
+            raise ValueError(
+                f"unknown pipeline {self.pipeline!r}; valid names: {', '.join(PIPELINES)}"
+            )
         if self.classifier not in CLASSIFIERS:
-            raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {self.classifier!r}")
+            raise ValueError(
+                f"unknown classifier {self.classifier!r}; valid names: {', '.join(CLASSIFIERS)}"
+            )
         if self.eval_mode not in EVAL_MODES:
             raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {self.eval_mode!r}")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
         if self.map_rows < 1 or self.map_cols < 1:
             raise ValueError("map grid dimensions must be >= 1")
+        if self.fisher_dim is not None and self.fisher_dim < 1:
+            raise ValueError("fisher_dim must be >= 1")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if self.steps_per_sample < 1:
             raise ValueError("steps_per_sample must be >= 1")
+        self.schedule(1)  # TrainingSchedule checks the alpha and sigma endpoints
 
     def schedule(self, n_samples: int) -> TrainingSchedule:
+        """The training schedule for n_samples rows: steps_per_sample * n steps,
+        sigma0 defaulting to half the larger grid side (at least sigma_final)."""
         sigma0 = self.sigma0
         if sigma0 is None:
             sigma0 = max(max(self.map_rows, self.map_cols) / 2.0, self.sigma_final)
@@ -82,6 +92,71 @@ class ExperimentConfig:
             sigma_final=self.sigma_final,
             seed=self.seed,
         )
+
+
+@dataclass(eq=False)
+class FittedPipeline:
+    """A Fisher projection followed by per-class maps, one pooled map, or no map.
+
+    ``mode`` is the transform applied when none is asked for.  ``echo`` is an
+    ordered (key, value) record of the extraction settings the pipeline was
+    trained under; model files carry it verbatim for provenance.
+    """
+
+    fisher: FisherProjection
+    csom: CsomModel | None = None
+    som: SomMap | None = None
+    mode: str = "replace"
+    echo: tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.csom is not None and self.som is not None:
+            raise ValueError("a pipeline holds per-class maps or one pooled map, not both")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        self.echo = tuple((str(k), str(v)) for k, v in self.echo)
+        for k, v in self.echo:
+            if not k or " " in k or "\n" in k or not v or "\n" in v:
+                raise ValueError(f"bad pipeline echo entry {(k, v)!r}")
+        maps = self.som if self.som is not None else self.csom
+        if maps is not None and maps.dim != self.fisher.dim:
+            raise ValueError(
+                f"map dimension {maps.dim} does not match projection output {self.fisher.dim}"
+            )
+
+    @property
+    def single_som(self) -> bool:
+        return self.som is not None
+
+    @classmethod
+    def fit(
+        cls, data: Dataset, cfg: ExperimentConfig, fisher: FisherProjection | None = None
+    ) -> "FittedPipeline":
+        """Fit the projection (unless one is given) and the map(s) that
+        ``cfg.pipeline`` names on a labeled dataset."""
+        if fisher is None:
+            fisher = fit_fisher(data, cfg.fisher_dim)
+        kind, _, mode = cfg.pipeline.partition("-")
+        if kind == "raw":
+            return cls(fisher)
+        z = project_dataset(fisher, data)
+        sched = cfg.schedule(z.n)
+        if kind == "csom":
+            return cls(fisher, csom=train_csom(z, cfg.map_rows, cfg.map_cols, sched), mode=mode)
+        som = init_map(cfg.map_rows, cfg.map_cols, z.dim, seed=cfg.seed, data=z)
+        return cls(fisher, som=train(som, z, sched), mode=mode)
+
+    def transform(self, data: Dataset, mode: str | None = None) -> Dataset:
+        """Project, then replace each row by its winning prototype or append
+        the prototype to it (``mode``, by default the stored one).  Labeled
+        rows take their own class map; without a map the projection is all."""
+        z = project_dataset(self.fisher, data)
+        replace = (mode or self.mode) == "replace"
+        if self.som is not None:
+            return (replace_with_prototypes if replace else append_prototypes)(self.som, z)
+        if self.csom is not None:
+            return (transform_replace if replace else transform_append)(self.csom, z)
+        return z
 
 
 @dataclass(eq=False)
@@ -205,58 +280,50 @@ def gnb_fit(train: Dataset) -> GaussianNbModel:
     return GaussianNbModel(classes, log_priors, means, variances)
 
 
-def gnb_fit_predict(train: Dataset, x) -> int:
-    """Fit on the training rows and classify one vector.
-
-    Ties in the posterior resolve to the lowest class id (argmax keeps the
-    first of equal scores over the ascending class order).
-    """
-    return gnb_fit(train).predict(x)
-
-
 @dataclass(eq=False)
 class FoldModels:
     """Everything fitted on one training split."""
 
-    fisher: FisherProjection
-    csom: CsomModel | None
-    som: SomMap | None
+    pipeline: FittedPipeline
     train_features: Dataset  # transformed training split (classifier input)
     gnb: GaussianNbModel | None
 
+    @property
+    def fisher(self) -> FisherProjection:
+        return self.pipeline.fisher
 
-def _transform(cfg: ExperimentConfig, models: FoldModels, data: Dataset) -> Dataset:
-    z = project_dataset(models.fisher, data)
-    if cfg.pipeline == "raw":
-        return z
-    if cfg.pipeline.startswith("som"):
-        fn = replace_with_prototypes if cfg.pipeline.endswith("replace") else append_prototypes
-        return fn(models.som, z)
-    fn = transform_replace if cfg.pipeline.endswith("replace") else transform_append
-    return fn(models.csom, z)
+    @property
+    def csom(self) -> CsomModel | None:
+        return self.pipeline.csom
+
+    @property
+    def som(self) -> SomMap | None:
+        return self.pipeline.som
+
+
+def _fit_fold(train_split: Dataset, cfg: ExperimentConfig, fitted: dict) -> FoldModels:
+    """fit_fold, taking the projection and maps from ``fitted`` (this split's
+    fits so far) when one was fitted under the same settings, and adding
+    the ones it fits."""
+    fisher_key = ("fisher", cfg.fisher_dim)
+    if fisher_key not in fitted:
+        fitted[fisher_key] = fit_fisher(train_split, cfg.fisher_dim)
+    kind, _, mode = cfg.pipeline.partition("-")
+    key = (kind, cfg.fisher_dim, cfg.map_rows, cfg.map_cols, repr(cfg.schedule(1)))
+    if key not in fitted:
+        fitted[key] = FittedPipeline.fit(train_split, cfg, fitted[fisher_key])
+    features = fitted[key].transform(train_split, mode)
+    return FoldModels(fitted[key], features, gnb_fit(features) if cfg.classifier == "gnb" else None)
 
 
 def fit_fold(train_split: Dataset, cfg: ExperimentConfig) -> FoldModels:
     """Fit Fisher, the configured map(s), and the classifier on one split."""
-    proj = fit_fisher(train_split, cfg.fisher_dim)
-    z = project_dataset(proj, train_split)
-    csom_model = None
-    som_model = None
-    if cfg.pipeline.startswith("csom"):
-        csom_model = train_csom(z, cfg.map_rows, cfg.map_cols, cfg.schedule(z.n), jobs=cfg.jobs)
-    elif cfg.pipeline.startswith("som"):
-        som_model = init_map(cfg.map_rows, cfg.map_cols, z.dim, seed=cfg.seed, data=z)
-        som_model = train(som_model, z, cfg.schedule(z.n))
-    models = FoldModels(proj, csom_model, som_model, z, None)
-    models.train_features = _transform(cfg, models, train_split)
-    if cfg.classifier == "gnb":
-        models.gnb = gnb_fit(models.train_features)
-    return models
+    return _fit_fold(train_split, cfg, {})
 
 
 def predict_fold(models: FoldModels, test_split: Dataset, cfg: ExperimentConfig) -> np.ndarray:
     """Predict test labels; the transform never sees them."""
-    feats = _transform(cfg, models, test_split.without_labels())
+    feats = models.pipeline.transform(test_split.without_labels(), cfg.pipeline.partition("-")[2])
     if cfg.classifier == "knn":
         return np.array(
             [knn_predict(models.train_features, x, cfg.knn_k) for x in feats.X],
@@ -274,6 +341,52 @@ def _score(
     return float((truth == preds).mean())
 
 
+def run_experiments(data: Dataset, cfgs) -> list[EvaluationReport]:
+    """Evaluate several pipeline/classifier configurations on one dataset.
+
+    Configurations with the same split settings and seed share their splits.
+    On each fold the projection is fitted once per ``fisher_dim`` and the maps
+    once per map kind, grid and schedule; every transform mode and classifier
+    is scored from those fits.  The reports, and the first error raised, are
+    those of running each configuration alone, in order.
+    """
+    require_labels(data)
+    class_ids = data.class_ids
+    splits_by_key = {}
+    fitted = {}  # (split key, fold) -> the fits made on that training split
+    reports = []
+    for cfg in cfgs:
+        split_key = (cfg.eval_mode, cfg.folds, repr(cfg.holdout_counts), cfg.seed)
+        if split_key not in splits_by_key:
+            if cfg.eval_mode == "holdout":
+                splits_by_key[split_key] = [holdout_split(data, cfg.holdout_counts, seed=cfg.seed)]
+            else:
+                splits_by_key[split_key] = kfold_split(data, cfg.folds, seed=cfg.seed)
+        confusion = np.zeros((class_ids.size, class_ids.size), dtype=np.int64)
+        accuracies = []
+        for fold_i, (train_split, test_split) in enumerate(splits_by_key[split_key]):
+            if test_split.n == 0:
+                raise DataError(f"fold {fold_i} has an empty test split")
+            try:
+                models = _fit_fold(train_split, cfg, fitted.setdefault((split_key, fold_i), {}))
+                preds = predict_fold(models, test_split, cfg)
+            except (DataError, ValueError) as exc:
+                raise DataError(f"fold {fold_i}: {exc}") from exc
+            accuracies.append(_score(class_ids, test_split.labels, preds, confusion))
+        reports.append(
+            EvaluationReport(
+                pipeline=cfg.pipeline,
+                classifier=cfg.classifier,
+                eval_mode=cfg.eval_mode,
+                class_ids=class_ids,
+                fold_accuracies=accuracies,
+                confusion=confusion,
+                config=asdict(cfg),
+            )
+        )
+    return reports
+
+
 def run_experiment(data: Dataset, cfg: ExperimentConfig) -> EvaluationReport:
     """Evaluate one pipeline/classifier combination on a labeled dataset.
 
@@ -281,29 +394,4 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig) -> EvaluationReport:
     reserves per-class counts (HOLDOUT_FRACTION by default) for a single
     train/test split.  Deterministic given the config.
     """
-    require_labels(data)
-    class_ids = data.class_ids
-    confusion = np.zeros((class_ids.size, class_ids.size), dtype=np.int64)
-    if cfg.eval_mode == "holdout":
-        splits = [holdout_split(data, cfg.holdout_counts, seed=cfg.seed)]
-    else:
-        splits = kfold_split(data, cfg.folds, seed=cfg.seed)
-    accuracies = []
-    for fold_i, (train_split, test_split) in enumerate(splits):
-        if test_split.n == 0:
-            raise DataError(f"fold {fold_i} has an empty test split")
-        try:
-            models = fit_fold(train_split, cfg)
-            preds = predict_fold(models, test_split, cfg)
-        except (DataError, ValueError) as exc:
-            raise DataError(f"fold {fold_i}: {exc}") from exc
-        accuracies.append(_score(class_ids, test_split.labels, preds, confusion))
-    return EvaluationReport(
-        pipeline=cfg.pipeline,
-        classifier=cfg.classifier,
-        eval_mode=cfg.eval_mode,
-        class_ids=class_ids,
-        fold_accuracies=accuracies,
-        confusion=confusion,
-        config=asdict(cfg),
-    )
+    return run_experiments(data, [cfg])[0]

@@ -15,13 +15,12 @@ problems raise FormatError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .csom import CsomModel
-from .data import format_value
+from .data import format_value, read_text, write_atomic
 from .errors import FormatError, IntegrityError
+from .evaluation import MODES, FittedPipeline
 from .fisher import FisherProjection
 from .som import SomMap
 
@@ -30,7 +29,6 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
-MODES = ("replace", "append")
 POOLED = "pooled"
 
 
@@ -41,42 +39,6 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-@dataclass(eq=False)
-class SavedModel:
-    """A Fisher projection plus either per-class maps or one pooled map.
-
-    ``pipeline`` is an ordered (key, value) echo of the extraction settings
-    the model was trained under; it is carried verbatim for provenance and
-    never interpreted.
-    """
-
-    fisher: FisherProjection
-    csom: CsomModel | None = None
-    som: SomMap | None = None
-    mode: str = "replace"
-    pipeline: tuple = ()
-    version: int = FORMAT_VERSION
-
-    def __post_init__(self) -> None:
-        if (self.csom is None) == (self.som is None):
-            raise ValueError("exactly one of csom or som must be set")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        self.pipeline = tuple((str(k), str(v)) for k, v in self.pipeline)
-        for k, v in self.pipeline:
-            if not k or " " in k or "\n" in k or not v or "\n" in v:
-                raise ValueError(f"bad pipeline echo entry {(k, v)!r}")
-        map_dim = self.som.dim if self.som is not None else self.csom.dim
-        if map_dim != self.fisher.dim:
-            raise ValueError(
-                f"map dimension {map_dim} does not match projection output {self.fisher.dim}"
-            )
-
-    @property
-    def single_som(self) -> bool:
-        return self.som is not None
-
-
 def _matrix_lines(name: str, m: np.ndarray) -> list[str]:
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     lines = [f"[matrix {name} {m.shape[0]} {m.shape[1]}]"]
@@ -84,22 +46,24 @@ def _matrix_lines(name: str, m: np.ndarray) -> list[str]:
     return lines
 
 
-def serialize_model(model: SavedModel) -> str:
+def serialize_model(model: FittedPipeline) -> str:
+    if model.som is not None:
+        entries = [(POOLED, model.som)]
+    elif model.csom is not None:
+        entries = [(str(cid), som) for cid, som in model.csom.entries]
+    else:
+        raise ValueError("a model file needs per-class maps or a pooled map")
     lines = ["# texture map model"]
     lines.append("[model]")
-    lines.append(f"version {model.version}")
+    lines.append(f"version {FORMAT_VERSION}")
     lines.append(f"mode {model.mode}")
     lines.append(f"single_som {int(model.single_som)}")
-    if model.pipeline:
+    if model.echo:
         lines.append("[pipeline]")
-        lines.extend(f"{k} {v}" for k, v in model.pipeline)
+        lines.extend(f"{k} {v}" for k, v in model.echo)
     lines.extend(_matrix_lines("mean", model.fisher.mean))
     lines.extend(_matrix_lines("pca", model.fisher.pca_basis))
     lines.extend(_matrix_lines("lda", model.fisher.lda_basis))
-    if model.som is not None:
-        entries = [(POOLED, model.som)]
-    else:
-        entries = [(str(cid), som) for cid, som in model.csom.entries]
     for tag, som in entries:
         lines.append(f"[som {tag} {som.rows} {som.cols}]")
         lines.extend(" ".join(format_value(v) for v in row) for row in som.weights)
@@ -166,7 +130,7 @@ def _read_keyword(reader: _Lines, key: str) -> str:
     return parts[1]
 
 
-def parse_model(text: str) -> SavedModel:
+def parse_model(text: str) -> FittedPipeline:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -204,7 +168,7 @@ def parse_model(text: str) -> SavedModel:
     if single not in ("0", "1"):
         raise FormatError(f"single_som must be 0 or 1, got {single!r}")
 
-    pipeline = []
+    echo = []
     if reader.peek() == "[pipeline]":
         reader.take()
         while True:
@@ -214,7 +178,7 @@ def parse_model(text: str) -> SavedModel:
             key, _, value = reader.take().partition(" ")
             if not key or not value:
                 raise FormatError(f"pipeline echo needs 'key value' lines, got {line!r}")
-            pipeline.append((key, value))
+            echo.append((key, value))
 
     mean = _read_matrix(reader, "mean")
     if mean.shape[0] != 1:
@@ -248,13 +212,7 @@ def parse_model(text: str) -> SavedModel:
         if single == "1":
             if len(entries) != 1 or entries[0][0] != POOLED:
                 raise FormatError("single_som file must contain exactly one pooled map")
-            return SavedModel(
-                fisher=fisher,
-                som=entries[0][1],
-                mode=mode,
-                pipeline=tuple(pipeline),
-                version=version,
-            )
+            return FittedPipeline(fisher, som=entries[0][1], mode=mode, echo=tuple(echo))
         class_entries = []
         for tag, som in entries:
             if tag == POOLED:
@@ -263,27 +221,16 @@ def parse_model(text: str) -> SavedModel:
                 class_entries.append((int(tag), som))
             except ValueError as exc:
                 raise FormatError(f"bad class id {tag!r}") from exc
-        return SavedModel(
-            fisher=fisher,
-            csom=CsomModel(class_entries),
-            mode=mode,
-            pipeline=tuple(pipeline),
-            version=version,
+        return FittedPipeline(
+            fisher, csom=CsomModel(class_entries), mode=mode, echo=tuple(echo)
         )
     except ValueError as exc:
         raise FormatError(f"inconsistent model contents: {exc}") from exc
 
 
-def save_model(path, model: SavedModel) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_model(model).encode("ascii"))
+def save_model(path, model: FittedPipeline) -> None:
+    write_atomic(path, serialize_model(model))
 
 
-def load_model(path) -> SavedModel:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"model file is not ascii text: {exc}") from exc
-    return parse_model(text)
+def load_model(path) -> FittedPipeline:
+    return parse_model(read_text(path, "ascii", newline=""))

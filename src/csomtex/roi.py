@@ -66,21 +66,16 @@ class RoiConfig:
             raise ValueError("min_region_pixels must be >= 1")
 
 
-def pixelwise_segments(
-    img: Image, sn: int, seed: int = 0, min_region_pixels: int = 1
-) -> list[RegionMask]:
+def pixelwise_segments(img: Image, sn: int, min_region_pixels: int = 1) -> list[RegionMask]:
     """Cluster pixel intensities into at most ``sn`` segments.
 
     Runs 1-D k-means with centroids initialized at evenly spaced quantiles of
     the distinct intensity values, iterated to an assignment fixpoint (or 100
     iterations).  Masks come back ordered by ascending cluster centroid;
     segments smaller than ``min_region_pixels`` are dropped.  Fewer than
-    ``sn`` distinct intensities yield correspondingly fewer masks.
-
-    ``seed`` is accepted for interface uniformity; the quantile start makes
-    the result independent of it.
+    ``sn`` distinct intensities yield correspondingly fewer masks.  The
+    quantile start makes the result deterministic without a seed.
     """
-    del seed
     if sn < 1:
         raise ValueError("sn must be >= 1")
     values = img.pixels.ravel().astype(np.float64)
@@ -136,12 +131,10 @@ def blockwise_partition(img: Image, block_size: int) -> list[RegionMask]:
     return masks
 
 
-def select_regions(img: Image, cfg: RoiConfig, seed: int = 0) -> list[RegionMask]:
+def select_regions(img: Image, cfg: RoiConfig) -> list[RegionMask]:
     """Dispatch to the configured selection mode."""
     if cfg.mode == PIXELWISE:
-        return pixelwise_segments(
-            img, cfg.sn, seed=seed, min_region_pixels=cfg.min_region_pixels
-        )
+        return pixelwise_segments(img, cfg.sn, min_region_pixels=cfg.min_region_pixels)
     return blockwise_partition(img, cfg.block_size)
 
 

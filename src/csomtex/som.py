@@ -77,21 +77,6 @@ class TrainingSchedule:
         return self.sigma0 + (self.sigma_final - self.sigma0) * t / (self.iterations - 1)
 
 
-def default_schedule(
-    rows: int, cols: int, n_samples: int, seed: int = 0, steps_per_sample: int = 100
-) -> TrainingSchedule:
-    """Conventional settings: T = steps_per_sample * n, alpha 0.5 -> 0.01,
-    sigma from half the larger grid side down to 0.5."""
-    return TrainingSchedule(
-        iterations=max(1, steps_per_sample * n_samples),
-        alpha0=0.5,
-        alpha_final=0.01,
-        sigma0=max(max(rows, cols) / 2.0, 0.5),
-        sigma_final=0.5,
-        seed=seed,
-    )
-
-
 def _data_matrix(data) -> np.ndarray:
     if isinstance(data, Dataset):
         return data.X

@@ -112,7 +112,6 @@ def extract_features(
     img: Image,
     roi_cfg: RoiConfig,
     tex_cfg: TextureConfig,
-    seed: int = 0,
     name: str = "",
 ) -> np.ndarray:
     """Assemble one texture vector for a quantized image.
@@ -128,7 +127,7 @@ def extract_features(
             f"image has max_value {img.max_value}; expected a quantized image "
             f"with {tex_cfg.levels} levels"
         )
-    masks = select_regions(img, roi_cfg, seed=seed)
+    masks = select_regions(img, roi_cfg)
     if not masks:
         raise DataError(f"no usable regions in image {name or f'{img.width}x{img.height}'}")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -232,6 +233,17 @@ class TestTransform:
         assert code == 0
         assert out.startswith("f0,f1,label\n")
 
+    def test_output_through_symlink_and_to_devnull(self, features_csv, model_file, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        argv = ["transform", str(model_file), str(features_csv), "-o"]
+        assert main(argv + [str(link)]) == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("f0,f1,label\n")
+        assert main(argv + [os.devnull]) == 0
+
 
 class TestClassify:
     def test_batch(self, features_csv, model_file, tmp_path, capsys):
@@ -264,11 +276,6 @@ class TestClassify:
         row = lines[1].split(",")
         errors = [float(v) for v in row[3:]]
         assert min(errors) == errors[int(row[2])]
-
-    def test_jobs_do_not_change_output(self, features_csv, model_file, capsys):
-        _, out1, _ = run(capsys, ["classify", str(model_file), str(features_csv)])
-        _, out2, _ = run(capsys, ["classify", str(model_file), str(features_csv), "--jobs", "3"])
-        assert out1 == out2
 
     def test_vector(self, features_csv, model_file, capsys):
         first = features_csv.read_text().splitlines()[1]
@@ -373,6 +380,31 @@ class TestConfigErrors:
         assert code == 2
         assert "JSON" in err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"schedule": {"steps_per_sample": 0}},
+            {"knn_k": 0},
+            {"folds": 1},
+            {"schedule": {"alpha0": 1.5}},
+            {"schedule": {"sigma_final": 0}},
+            {"fisher_dim": 0},
+        ],
+        ids=["steps_per_sample", "knn_k", "folds", "alpha0", "sigma_final", "fisher_dim"],
+    )
+    def test_bad_setting_fails_before_features_are_read(self, command, setting, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(setting))
+        # the features file does not exist: reading it first would exit 2
+        argv = [command, str(tmp_path / "absent.csv"), "--config", str(cfg)]
+        if command == "train":
+            argv += ["-o", str(tmp_path / "m.txt")]
+        code, _, err = run(capsys, argv)
+        assert code == 1, err
+        assert "absent.csv" not in err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_evaluate_failure_leaves_no_output(self, corpus, tmp_path, capsys):
         # a features file with one row per class cannot be cross-validated
         feats = tmp_path / "tiny.csv"
@@ -385,7 +417,47 @@ class TestConfigErrors:
         assert not out.exists()
 
 
+class TestUndecodableInput:
+    def test_non_ascii_features(self, tmp_path, capsys):
+        feats = tmp_path / "f.csv"
+        feats.write_bytes("f0,label\n1,0\n2,1\n# caf\xe9\n".encode("latin-1"))
+        code, _, err = run(capsys, ["train", str(feats), "-o", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert "ascii" in err
+
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_bytes(b"caf\xe9.pgm,0\n")
+        code, _, err = run(capsys, ["extract", str(manifest), "-o", str(tmp_path / "f.csv")])
+        assert code == 2
+        assert "utf-8" in err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_non_utf8_config(self, features_csv, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"seed": 0} \xff')
+        code, _, err = run(capsys, ["evaluate", str(features_csv), "--config", str(cfg)])
+        assert code == 2
+        assert "utf-8" in err
+
+
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "m.txt", "-o", "f.csv", "--seed", "1"],
+            ["transform", "m.txt", "f.csv", "--seed", "1"],
+            ["transform", "m.txt", "f.csv", "--config", "c.json"],
+            ["classify", "m.txt", "f.csv", "--seed", "1"],
+            ["classify", "m.txt", "f.csv", "--config", "c.json"],
+            ["classify", "m.txt", "f.csv", "--jobs", "2"],
+            ["train", "f.csv", "-o", "m.txt", "--jobs", "2"],
+            ["evaluate", "f.csv", "--jobs", "2"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        assert run(capsys, argv)[0] == 1
+
     def test_no_arguments(self, capsys):
         assert run(capsys, [])[0] == 1
 

@@ -92,15 +92,6 @@ class TestTrainCsom:
         model = train_csom(data, 1, 2, sched)
         assert model.n_classes == 3
 
-    def test_jobs_do_not_change_the_result(self):
-        data = gaussian_blobs([15, 15, 15], dim=4, seed=9)
-        sched = TrainingSchedule(iterations=900, sigma0=1.0, seed=3)
-        serial = train_csom(data, 2, 2, sched, jobs=1)
-        threaded = train_csom(data, 2, 2, sched, jobs=3)
-        for cid in (0, 1, 2):
-            np.testing.assert_array_equal(
-                serial.map_for(cid).weights, threaded.map_for(cid).weights
-            )
 
 
 class TestClassify:

@@ -1,6 +1,9 @@
-"""Dataset container and CSV round-trips."""
+"""Dataset container, CSV round-trips and file writes."""
 
 from __future__ import annotations
+
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from csomtex import (
     read_dataset,
     write_dataset,
 )
-from csomtex.data import format_value, require_labels
+from csomtex.data import format_value, require_labels, write_atomic
 
 
 class TestDataset:
@@ -100,3 +103,61 @@ class TestCsv:
         write_dataset(p, d)
         assert read_dataset(p) == d
         assert p.read_bytes().endswith(b"\n")
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_old_target_and_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        # fails while encoding, before any file is opened
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(target, "half written\ncaf\xe9\n")
+
+        def no_rename(src, dst):
+            raise OSError("rename refused")
+
+        # fails after the temporary file is complete
+        monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename refused"):
+            write_atomic(target, "new\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_errors_name_the_target(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="'[^']*nodir/out.csv'"):
+            write_atomic(tmp_path / "nodir" / "out.csv", "x\n")
+
+    def test_replaces_target_with_plain_open_permissions(self, tmp_path):
+        write_atomic(tmp_path / "a.txt", "one\n")
+        write_atomic(tmp_path / "a.txt", "two\n")
+        with open(tmp_path / "b.txt", "w") as fh:
+            fh.write("two\n")
+        assert (tmp_path / "a.txt").read_text() == "two\n"
+        assert (tmp_path / "a.txt").stat().st_mode == (tmp_path / "b.txt").stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "a.txt"
+        target.write_text("one\n")
+        target.chmod(0o640)
+        write_atomic(target, "two\n")
+        assert target.read_text() == "two\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_symlink_is_written_through(self, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        write_atomic(link, "new\n")
+        assert link.is_symlink()
+        assert real.read_text() == "new\n"
+        dangling = tmp_path / "dangling.txt"
+        dangling.symlink_to(tmp_path / "made.txt")
+        write_atomic(dangling, "made\n")
+        assert dangling.is_symlink()
+        assert (tmp_path / "made.txt").read_text() == "made\n"
+
+    def test_special_file_is_written_through(self):
+        write_atomic(os.devnull, "discarded\n")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)

@@ -10,16 +10,18 @@ from csomtex import (
     DataError,
     Dataset,
     ExperimentConfig,
+    FittedPipeline,
     HOLDOUT_FRACTION,
     fit_fold,
     gnb_fit,
-    gnb_fit_predict,
     holdout_split,
     kfold_split,
     knn_predict,
     predict_fold,
     run_experiment,
 )
+from csomtex import evaluation
+from csomtex.evaluation import run_experiments
 from helpers import gaussian_blobs
 
 
@@ -153,7 +155,7 @@ class TestGaussianNb:
     def test_fit_predict(self):
         data = gaussian_blobs([5, 5], dim=3, separation=8.0, seed=1)
         for x, y in zip(data.X, data.labels):
-            assert gnb_fit_predict(data, x) == y
+            assert gnb_fit(data).predict(x) == y
 
 
 class TestExperimentConfig:
@@ -168,6 +170,13 @@ class TestExperimentConfig:
             ExperimentConfig(knn_k=0)
         with pytest.raises(ValueError):
             ExperimentConfig(folds=1)
+        with pytest.raises(ValueError):
+            ExperimentConfig(steps_per_sample=0)
+        # the schedule endpoints are checked up front, not at the first fit
+        with pytest.raises(ValueError):
+            ExperimentConfig(alpha0=1.5)
+        with pytest.raises(ValueError):
+            ExperimentConfig(sigma_final=0.0)
 
     def test_schedule_defaults(self):
         cfg = ExperimentConfig(map_rows=7, map_cols=3, steps_per_sample=50, seed=11)
@@ -203,6 +212,60 @@ class TestFolds:
             assert models.train_features.dim == width
             feats_n = predict_fold(models, test_split, cfg)
             assert feats_n.shape == (test_split.n,)
+
+
+class TestFittedPipeline:
+    def test_fit_kinds_and_modes(self):
+        data = gaussian_blobs([8, 8, 8], dim=5, seed=2)
+        raw = FittedPipeline.fit(data, ExperimentConfig(pipeline="raw"))
+        assert raw.csom is None and raw.som is None
+        np.testing.assert_array_equal(raw.transform(data).X, raw.transform(data, "append").X)
+        pooled = FittedPipeline.fit(
+            data, ExperimentConfig(pipeline="som-append", map_rows=2, map_cols=2), raw.fisher
+        )
+        assert pooled.single_som and pooled.mode == "append" and pooled.fisher is raw.fisher
+        assert pooled.transform(data).dim == 4
+        assert pooled.transform(data, "replace").dim == 2
+        per_class = FittedPipeline.fit(data, ExperimentConfig(map_rows=2, map_cols=2))
+        assert per_class.csom.n_classes == 3 and per_class.mode == "replace"
+
+
+class TestRunExperiments:
+    def _grid(self):
+        return [
+            ExperimentConfig(
+                pipeline=p, classifier=c, map_rows=2, map_cols=2, folds=3,
+                steps_per_sample=10, seed=s,
+            )
+            for c in ("knn", "gnb")
+            for p in ("raw", "som-replace", "som-append", "csom-replace", "csom-append")
+            for s in (0, 1)
+        ]
+
+    def test_matches_one_run_per_config(self):
+        data = gaussian_blobs([9, 8, 7], dim=4, separation=2.5, seed=6)
+        cfgs = self._grid()
+        for cfg, report in zip(cfgs, run_experiments(data, cfgs)):
+            alone = run_experiment(data, cfg)
+            assert report.fold_accuracies == alone.fold_accuracies
+            np.testing.assert_array_equal(report.confusion, alone.confusion)
+
+    def test_fits_each_fold_once(self, monkeypatch):
+        data = gaussian_blobs([9, 8, 7], dim=4, seed=6)
+        calls = {"fit_fisher": 0, "train": 0, "train_csom": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name, counted(name, getattr(evaluation, name)))
+        run_experiments(data, self._grid())
+        # 2 seeds x 3 folds: one projection, one pooled map and one set of
+        # per-class maps each, shared by both modes and both classifiers
+        assert calls == {"fit_fisher": 6, "train": 6, "train_csom": 6}
 
 
 class TestRunExperiment:

@@ -7,9 +7,9 @@ import pytest
 
 from csomtex import (
     CsomModel,
+    FittedPipeline,
     FormatError,
     IntegrityError,
-    SavedModel,
     SomMap,
     TrainingSchedule,
     classify,
@@ -39,8 +39,8 @@ def small_model(pooled: bool = False, echo: tuple = ECHO):
     )
     if pooled:
         som = train(init_map(2, 2, z.dim, seed=0, data=z), z, sched)
-        return SavedModel(proj, som=som, mode="append", pipeline=echo), z
-    return SavedModel(proj, csom=train_csom(z, 2, 2, sched), pipeline=echo), z
+        return FittedPipeline(proj, som=som, mode="append", echo=echo), z
+    return FittedPipeline(proj, csom=train_csom(z, 2, 2, sched), echo=echo), z
 
 
 def reseal(text: str) -> str:
@@ -76,7 +76,7 @@ class TestRoundTrip:
         model, _ = small_model()
         back = parse_model(serialize_model(model))
         assert back.mode == model.mode
-        assert back.pipeline == ECHO
+        assert back.echo == ECHO
         assert not back.single_som
         np.testing.assert_array_equal(back.fisher.mean, model.fisher.mean)
         np.testing.assert_array_equal(back.fisher.pca_basis, model.fisher.pca_basis)
@@ -201,23 +201,24 @@ class TestSavedModelValidation:
         model, _ = small_model()
         pooled, _ = small_model(pooled=True)
         with pytest.raises(ValueError):
-            SavedModel(model.fisher, csom=model.csom, som=pooled.som)
-        with pytest.raises(ValueError):
-            SavedModel(model.fisher)
+            FittedPipeline(model.fisher, csom=model.csom, som=pooled.som)
+        # a map-less (raw) pipeline exists for evaluation but has no model file
+        with pytest.raises(ValueError, match="map"):
+            serialize_model(FittedPipeline(model.fisher))
 
     def test_dim_mismatch(self):
         model, _ = small_model()
         wrong = SomMap(1, 2, np.zeros((2, model.fisher.dim + 1)))
         with pytest.raises(ValueError, match="dimension"):
-            SavedModel(model.fisher, som=wrong)
+            FittedPipeline(model.fisher, som=wrong)
 
     def test_bad_mode(self):
         model, _ = small_model()
         with pytest.raises(ValueError, match="mode"):
-            SavedModel(model.fisher, csom=model.csom, mode="swap")
+            FittedPipeline(model.fisher, csom=model.csom, mode="swap")
 
     def test_bad_echo_entries(self):
         model, _ = small_model()
         for echo in [(("two words", "v"),), (("k", ""),), (("", "v"),), (("k", "a\nb"),)]:
             with pytest.raises(ValueError, match="pipeline echo"):
-                SavedModel(model.fisher, csom=model.csom, pipeline=echo)
+                FittedPipeline(model.fisher, csom=model.csom, echo=echo)

@@ -9,12 +9,12 @@ import pytest
 
 from csomtex import (
     Dataset,
+    ExperimentConfig,
     ShapeError,
     SomMap,
     TrainingSchedule,
     append_prototypes,
     bmu,
-    default_schedule,
     init_map,
     neighborhood,
     quantization_error,
@@ -160,9 +160,11 @@ class TestSchedule:
         TrainingSchedule(iterations=10, alpha_final=0.0)
 
     def test_default_schedule_shape(self):
-        s = default_schedule(5, 5, 40, seed=3)
+        # every training schedule comes from ExperimentConfig.schedule; here its defaults
+        s = ExperimentConfig(map_rows=5, map_cols=5, seed=3).schedule(40)
         assert s.iterations == 4000
-        assert s.sigma0 == 2.5
+        assert (s.alpha0, s.alpha_final) == (0.5, 0.01)
+        assert (s.sigma0, s.sigma_final) == (2.5, 0.5)
         assert s.seed == 3
 
 
@@ -214,7 +216,7 @@ class TestTrain:
     def test_quantization_error_halves(self):
         data = gaussian_blobs([20, 20, 20], dim=6, separation=10.0, seed=3)
         som = init_map(2, 2, 6, seed=3, data=data)
-        sched = default_schedule(2, 2, data.n, seed=3)
+        sched = ExperimentConfig(map_rows=2, map_cols=2, seed=3).schedule(data.n)
         out = train(som, data, sched)
         assert quantization_error(out, data) <= 0.5 * quantization_error(som, data)
 

@@ -35,8 +35,9 @@ describe("checkerboard", checker)
 describe("stripes (period 4)", stripes)
 describe("iid noise", noise)
 
-# extract_features runs this over every selected region and every offset,
-# concatenating the quadruples into one vector per image.
+# extract_features computes the same quadruple for every selected region and
+# every offset (all regions of an offset in one count); blockwise mode
+# averages the quadruples over the blocks into one vector per image.
 roi = RoiConfig(mode="blockwise", block_size=3)
 tex = TextureConfig(levels=2, offsets=((0, 1), (1, 0)))
 vec = extract_features(checker, roi, tex)

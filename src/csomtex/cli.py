@@ -25,7 +25,7 @@ from .evaluation import MODES, FittedPipeline, run_experiments
 from .fisher import project, project_dataset
 from .imaging import load_pgm, preprocess, quantize
 from .model_io import load_model, save_model
-from .roi import mask_to_rle, select_regions
+from .roi import mask_to_rle, region_labels, region_masks
 from .texture import extract_features
 
 
@@ -90,10 +90,11 @@ def cmd_extract(args) -> int:
         img = load_pgm(raw)
         img = preprocess(img, cfg.preprocess)
         img = quantize(img, cfg.texture.levels)
-        rows.append(extract_features(img, cfg.roi, cfg.texture, name=name))
+        regions = region_labels(img, cfg.roi)
+        rows.append(extract_features(img, cfg.roi, cfg.texture, name=name, labels=regions))
         labels.append(label)
         if args.dump_masks:
-            text = "".join(mask_to_rle(m) + "\n" for m in select_regions(img, cfg.roi))
+            text = "".join(mask_to_rle(m) + "\n" for m in region_masks(regions))
             stem = os.path.splitext(os.path.basename(name))[0]
             mask_dumps.append((f"{stem}.masks.txt", text))
     label_arr = np.array(labels, dtype=np.int64)
@@ -126,9 +127,8 @@ def cmd_train(args) -> int:
     kind = "som" if args.single_som else "csom"
     seed = cfg.seed if args.seed is None else args.seed
     column = EvalColumn(f"{kind}-{args.mode}", cfg.map_rows, cfg.map_cols, kind)
-    model = FittedPipeline.fit(
-        read_dataset(args.features), cfg.experiment(column, cfg.classifier, seed)
-    )
+    settings = cfg.experiment(column, cfg.classifier, seed)
+    model = FittedPipeline.fit(read_dataset(args.features), settings)
     save_model(args.output, dc_replace(model, echo=_pipeline_echo(cfg, model.fisher.dim)))
     return 0
 
@@ -206,9 +206,9 @@ def _format_table(column_labels, classifiers, cell) -> str:
 def cmd_evaluate(args) -> int:
     cfg = _load_tool_config(args)
     seeds = cfg.eval_seeds if args.seed is None else (args.seed,)
-    data = read_dataset(args.features)
     cells = [(clf, col, seed) for clf in cfg.classifiers for col in cfg.columns for seed in seeds]
-    reports = run_experiments(data, [cfg.experiment(col, clf, seed) for clf, col, seed in cells])
+    settings = [cfg.experiment(col, clf, seed) for clf, col, seed in cells]
+    reports = run_experiments(read_dataset(args.features), settings)
     per_seed = defaultdict(list)
     csv_lines = ["classifier,column,pipeline,map,seed,fold,accuracy"]
     for (clf, col, seed), report in zip(cells, reports):

@@ -34,12 +34,14 @@ class ToolConfig(ExperimentConfig):
     """Settings of every command: extraction, the model and the evaluate grid.
 
     The model and evaluation settings are ExperimentConfig's, checked there;
-    ``pipeline`` is not settable (each command names its own).  Every grid
-    cell is checked on construction, so a setting ``evaluate`` rejects fails
-    every command before any input is read.
+    ``pipeline`` and ``classifier`` are not settable (``train`` names its
+    own pipeline, ``evaluate`` scores every grid cell).  Every grid cell is
+    checked on construction, so a setting ``evaluate`` rejects fails every
+    command before any input is read.
     """
 
     pipeline: str = field(default="csom-replace", init=False, repr=False)
+    classifier: str = field(default="knn", init=False, repr=False)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     roi: RoiConfig = field(default_factory=RoiConfig)
     texture: TextureConfig = field(default_factory=TextureConfig)
@@ -55,6 +57,8 @@ class ToolConfig(ExperimentConfig):
             )
         if not self.columns or not self.classifiers or not self.eval_seeds:
             raise ValueError("columns, classifiers and eval_seeds must be non-empty")
+        if any(s < 0 for s in self.eval_seeds):
+            raise ValueError(f"evaluate seeds must be >= 0, got {list(self.eval_seeds)}")
         labels = [c.label for c in self.columns]
         if not all(labels):
             raise ValueError("column label must be non-empty")
@@ -138,7 +142,6 @@ def config_from_dict(raw: dict) -> ToolConfig:
             "fisher_dim",
             "map",
             "schedule",
-            "classifier",
             "knn_k",
             "folds",
             "evaluate",
@@ -239,7 +242,6 @@ def config_from_dict(raw: dict) -> ToolConfig:
         alpha_final=_opt_num(sched_raw, "alpha_final", 0.01),
         sigma0=_opt_num(sched_raw, "sigma0", None),
         sigma_final=_opt_num(sched_raw, "sigma_final", 0.5),
-        classifier=_opt_str(raw, "classifier", "knn"),
         knn_k=_opt_int(raw, "knn_k", 1),
         folds=_opt_int(raw, "folds", 10),
         columns=columns,

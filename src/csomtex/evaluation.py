@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ValueError("fisher_dim must be >= 1")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.steps_per_sample < 1:
             raise ValueError("steps_per_sample must be >= 1")
         self.schedule(1)  # TrainingSchedule checks the alpha and sigma endpoints

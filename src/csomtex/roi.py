@@ -1,4 +1,8 @@
-"""Region-of-interest selection: pixelwise intensity segments and fixed blocks."""
+"""Region-of-interest selection: pixelwise intensity segments and fixed blocks.
+
+A selection is one int label image; boolean masks are a per-region view of
+it for the single-region API and the RLE text form.
+"""
 
 from __future__ import annotations
 
@@ -66,15 +70,16 @@ class RoiConfig:
             raise ValueError("min_region_pixels must be >= 1")
 
 
-def pixelwise_segments(img: Image, sn: int, min_region_pixels: int = 1) -> list[RegionMask]:
-    """Cluster pixel intensities into at most ``sn`` segments.
+def pixelwise_labels(img: Image, sn: int, min_region_pixels: int = 1) -> np.ndarray:
+    """Cluster pixel intensities into at most ``sn`` segments, as a label image.
 
     Runs 1-D k-means with centroids initialized at evenly spaced quantiles of
     the distinct intensity values, iterated to an assignment fixpoint (or 100
-    iterations).  Masks come back ordered by ascending cluster centroid;
-    segments smaller than ``min_region_pixels`` are dropped.  Fewer than
-    ``sn`` distinct intensities yield correspondingly fewer masks.  The
-    quantile start makes the result deterministic without a seed.
+    iterations).  Regions are numbered by ascending cluster centroid;
+    segments smaller than ``min_region_pixels`` (and empty ones) are dropped,
+    their pixels labeled -1.  Fewer than ``sn`` distinct intensities yield
+    correspondingly fewer regions.  The quantile start makes the result
+    deterministic without a seed.
     """
     if sn < 1:
         raise ValueError("sn must be >= 1")
@@ -98,19 +103,17 @@ def pixelwise_segments(img: Image, sn: int, min_region_pixels: int = 1) -> list[
             if members.size:
                 centroids[j] = members.mean()
 
-    masks = []
-    for j in range(k):  # centroid order is ascending by construction
-        grid = (assign == j).reshape(img.pixels.shape)
-        if grid.sum() >= min_region_pixels:
-            masks.append(RegionMask(grid))
-    return masks
+    keep = np.bincount(assign, minlength=k) >= max(min_region_pixels, 1)
+    region_of = np.full(k, -1, dtype=np.int64)
+    region_of[keep] = np.arange(int(keep.sum()))
+    return region_of[assign].reshape(img.pixels.shape)
 
 
-def blockwise_partition(img: Image, block_size: int) -> list[RegionMask]:
-    """Tile the image with non-overlapping square blocks, one mask per block.
+def blockwise_labels(img: Image, block_size: int) -> np.ndarray:
+    """Tile the image with non-overlapping square blocks, as a label image.
 
-    Blocks are laid out from the top-left in row-major order; partial blocks
-    at the right and bottom edges are discarded.
+    Blocks are numbered from the top-left in row-major order; pixels of the
+    partial blocks at the right and bottom edges are labeled -1.
     """
     if block_size < 2:
         raise ValueError("block_size must be >= 2")
@@ -119,23 +122,45 @@ def blockwise_partition(img: Image, block_size: int) -> list[RegionMask]:
             f"image {img.width}x{img.height} smaller than one "
             f"{block_size}x{block_size} block"
         )
-    masks = []
-    for br in range(img.height // block_size):
-        for bc in range(img.width // block_size):
-            grid = np.zeros((img.height, img.width), dtype=bool)
-            grid[
-                br * block_size : (br + 1) * block_size,
-                bc * block_size : (bc + 1) * block_size,
-            ] = True
-            masks.append(RegionMask(grid))
-    return masks
+    block_rows, block_cols = img.height // block_size, img.width // block_size
+    row = np.arange(img.height) // block_size
+    col = np.arange(img.width) // block_size
+    labels = row[:, None] * block_cols + col[None, :]
+    labels[row >= block_rows, :] = -1
+    labels[:, col >= block_cols] = -1
+    return labels
+
+
+def region_labels(img: Image, cfg: RoiConfig) -> np.ndarray:
+    """The configured selection as one (height, width) int64 label image.
+
+    Region i holds the pixels labeled i, numbered 0.. in selection order
+    with no gaps; -1 marks pixels that belong to no region.
+    """
+    if cfg.mode == PIXELWISE:
+        return pixelwise_labels(img, cfg.sn, min_region_pixels=cfg.min_region_pixels)
+    return blockwise_labels(img, cfg.block_size)
+
+
+def region_masks(labels: np.ndarray):
+    """Yield a label image's regions as masks, one at a time, in label order."""
+    for i in range(int(labels.max()) + 1):
+        yield RegionMask(labels == i)
+
+
+def pixelwise_segments(img: Image, sn: int, min_region_pixels: int = 1) -> list[RegionMask]:
+    """The regions of pixelwise_labels as masks."""
+    return list(region_masks(pixelwise_labels(img, sn, min_region_pixels)))
+
+
+def blockwise_partition(img: Image, block_size: int) -> list[RegionMask]:
+    """The regions of blockwise_labels as masks."""
+    return list(region_masks(blockwise_labels(img, block_size)))
 
 
 def select_regions(img: Image, cfg: RoiConfig) -> list[RegionMask]:
-    """Dispatch to the configured selection mode."""
-    if cfg.mode == PIXELWISE:
-        return pixelwise_segments(img, cfg.sn, min_region_pixels=cfg.min_region_pixels)
-    return blockwise_partition(img, cfg.block_size)
+    """The regions of region_labels as masks."""
+    return list(region_masks(region_labels(img, cfg)))
 
 
 def mask_to_rle(mask: RegionMask) -> str:

@@ -8,8 +8,18 @@ import os
 import numpy as np
 import pytest
 
-from csomtex import Image, load_model, save_pgm
+from csomtex import (
+    Image,
+    load_model,
+    load_pgm,
+    mask_to_rle,
+    preprocess,
+    quantize,
+    save_pgm,
+    select_regions,
+)
 from csomtex.cli import main, read_manifest
+from csomtex.config import load_config
 
 CLASSES = 3
 PER_CLASS = 6
@@ -148,6 +158,12 @@ class TestExtract:
         assert files[0].name == "c0_0.masks.txt"
         # 16x16 image, 8x8 blocks: four regions, one RLE line each
         assert len(files[0].read_text().splitlines()) == 4
+        cfg = load_config(corpus / "config.json")
+        for f in files:
+            img = load_pgm((corpus / "imgs" / f.name.replace(".masks.txt", ".pgm")).read_bytes())
+            img = quantize(preprocess(img, cfg.preprocess), cfg.texture.levels)
+            expected = [mask_to_rle(m) for m in select_regions(img, cfg.roi)]
+            assert f.read_text().splitlines() == expected, f.name
 
     def test_missing_image_leaves_no_output(self, corpus, tmp_path, capsys):
         bad = tmp_path / "m.txt"
@@ -390,8 +406,11 @@ class TestConfigErrors:
             {"schedule": {"alpha0": 1.5}},
             {"schedule": {"sigma_final": 0}},
             {"fisher_dim": 0},
+            {"seed": -1},
+            {"evaluate": {"seeds": [0, -2]}},
         ],
-        ids=["steps_per_sample", "knn_k", "folds", "alpha0", "sigma_final", "fisher_dim"],
+        ids=["steps_per_sample", "knn_k", "folds", "alpha0", "sigma_final", "fisher_dim",
+             "seed", "evaluate_seeds"],
     )
     def test_bad_setting_fails_before_features_are_read(self, command, setting, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -404,6 +423,25 @@ class TestConfigErrors:
         assert code == 1, err
         assert "absent.csv" not in err
         assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_negative_seed_flag_fails_before_features_are_read(self, command, tmp_path, capsys):
+        argv = [command, str(tmp_path / "absent.csv"), "--seed", "-1"]
+        if command == "train":
+            argv += ["-o", str(tmp_path / "m.txt")]
+        code, _, err = run(capsys, argv)
+        assert code == 1, err
+        assert "seed must be >= 0" in err
+        assert "absent.csv" not in err
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_classifier_key_is_unknown(self, features_csv, tmp_path, capsys):
+        # no command reads a top-level classifier; evaluate scores evaluate.classifiers
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"classifier": "knn"}')
+        code, _, err = run(capsys, ["evaluate", str(features_csv), "--config", str(cfg)])
+        assert code == 1
+        assert "unknown top-level config keys: classifier" in err
 
     def test_evaluate_failure_leaves_no_output(self, corpus, tmp_path, capsys):
         # a features file with one row per class cannot be cross-validated

@@ -21,6 +21,7 @@ from csomtex import (
     extract_features,
     feature_length,
     haralick4,
+    select_regions,
 )
 from helpers import image_from, random_image
 
@@ -209,3 +210,68 @@ class TestExtractFeatures:
             TextureConfig(offsets=())
         with pytest.raises(ValueError):
             TextureConfig(offsets=((0, 0),))
+
+
+def features_oracle(img: Image, roi: RoiConfig, tex: TextureConfig) -> np.ndarray:
+    """extract_features composed per region: one cooccurrence + haralick4
+    per mask and offset, then the blockwise mean or the pixelwise padding."""
+    masks = select_regions(img, roi)
+    per_region = 4 * len(tex.offsets)
+    blocks = np.zeros((len(masks), per_region), dtype=np.float64)
+    for mi, mask in enumerate(masks):
+        feats = []
+        for off in tex.offsets:
+            feats.extend(haralick4(cooccurrence(img, mask, off, tex.symmetric)))
+        blocks[mi] = feats
+    if roi.mode == "blockwise":
+        return blocks.mean(axis=0)
+    out = np.zeros(roi.sn * per_region, dtype=np.float64)
+    out[: blocks.size] = blocks.ravel()
+    return out
+
+
+def bits(vec: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(vec, dtype=np.float64).view(np.uint64)
+
+
+# (1, -1) runs against the grain; the long ones outreach small blocks, so
+# some regions have empty matrices.
+OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1), (0, -2), (-1, 2), (2, -3), (0, 7), (9, 0), (6, 6))
+
+
+class TestBatchedMatchesPerRegion:
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("mode", ["blockwise", "pixelwise"])
+    def test_bitwise_equal_on_random_images(self, mode, symmetric):
+        rng = np.random.default_rng(1000 + 2 * (mode == "pixelwise") + symmetric)
+        for _ in range(40):
+            levels = int(rng.integers(2, 17))
+            h, w = (int(v) for v in rng.integers(4, 23, size=2))
+            # skewed level frequencies leave some pixelwise segments tiny
+            weights = rng.dirichlet(np.full(levels, 0.5))
+            img = Image(rng.choice(levels, size=(h, w), p=weights), levels - 1)
+            picks = rng.choice(len(OFFSETS), size=int(rng.integers(1, 5)), replace=False)
+            tex = TextureConfig(levels, tuple(OFFSETS[i] for i in picks), symmetric)
+            if mode == "blockwise":
+                # sides are rarely multiples of the block: partial edge blocks
+                roi = RoiConfig(mode, block_size=int(rng.integers(2, min(h, w, 7) + 1)))
+            else:
+                # sn above the distinct levels, or dropped segments, pads with zeros
+                roi = RoiConfig(mode, sn=int(rng.integers(1, 9)),
+                                min_region_pixels=int(rng.integers(1, 25)))
+                if not select_regions(img, roi):
+                    with pytest.raises(DataError):
+                        extract_features(img, roi, tex)
+                    continue
+            got = extract_features(img, roi, tex)
+            assert np.array_equal(bits(got), bits(features_oracle(img, roi, tex))), (roi, tex)
+
+    @pytest.mark.parametrize("levels", [64, 256])
+    def test_many_blocks_at_high_levels(self, levels):
+        # 256 blocks, counted in chunks of MAX_GLCM_BINS // levels**2 regions
+        rng = np.random.default_rng(levels)
+        img = random_image(rng, 66, 64, levels)
+        roi = RoiConfig(mode="blockwise", block_size=4)  # 256 blocks
+        tex = TextureConfig(levels, symmetric=levels == 256)
+        got = extract_features(img, roi, tex)
+        assert np.array_equal(bits(got), bits(features_oracle(img, roi, tex)))

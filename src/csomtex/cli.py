@@ -143,7 +143,10 @@ def _parse_vector(text: str) -> np.ndarray:
     parts = text.replace(",", " ").split()
     if not parts:
         raise ValueError("--vector needs at least one component")
-    return np.array([float(p) for p in parts], dtype=np.float64)
+    vector = np.array([float(p) for p in parts], dtype=np.float64)
+    if not np.isfinite(vector).all():
+        raise ValueError(f"--vector components must be finite, got {text!r}")
+    return vector
 
 
 def cmd_classify(args) -> int:

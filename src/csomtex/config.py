@@ -1,13 +1,16 @@
 """JSON tool configuration shared by the command-line entry points.
 
-Every setting has a default, so ``{}`` is a valid config.  Unknown keys
-raise ValueError: silent typos in an experiment file are worse than a
-hard stop.
+Every key is declared once, in the key tables below, with the settings
+field it sets and the kind of value it takes.  Defaults live only on the
+settings dataclasses: ``{}`` is a valid config, and JSON null at any key
+means "not set".  Unknown keys and wrongly typed values raise ValueError:
+silent typos in an experiment file are worse than a hard stop.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .data import read_text
@@ -20,13 +23,15 @@ from .texture import TextureConfig
 
 @dataclass(frozen=True)
 class EvalColumn:
-    """One column of the comparison table: a pipeline at a map size.  The
-    pipeline and grid are checked with the rest of the ToolConfig."""
+    """One column of the comparison table: a pipeline at a map size.  A size
+    left None is the config map size and a label left None is
+    ``pipeline@ROWSxCOLS``; ToolConfig fills both in.  The pipeline and grid
+    are checked with the rest of the ToolConfig."""
 
     pipeline: str
-    rows: int
-    cols: int
-    label: str
+    rows: int | None = None
+    cols: int | None = None
+    label: str | None = None
 
 
 @dataclass
@@ -52,13 +57,15 @@ class ToolConfig(ExperimentConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.columns is None:
-            self.columns = tuple(
-                EvalColumn(p, self.map_rows, self.map_cols, p) for p in PIPELINES
-            )
+            self.columns = tuple(EvalColumn(p, label=p) for p in PIPELINES)
+        self.columns = tuple(self._sized(c) for c in self.columns)
         if not self.columns or not self.classifiers or not self.eval_seeds:
             raise ValueError("columns, classifiers and eval_seeds must be non-empty")
         if any(s < 0 for s in self.eval_seeds):
             raise ValueError(f"evaluate seeds must be >= 0, got {list(self.eval_seeds)}")
+        for what, values in (("classifiers", self.classifiers), ("seeds", self.eval_seeds)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"evaluate {what} must be unique, got {list(values)}")
         labels = [c.label for c in self.columns]
         if not all(labels):
             raise ValueError("column label must be non-empty")
@@ -67,6 +74,12 @@ class ToolConfig(ExperimentConfig):
         for column in self.columns:
             for classifier in self.classifiers:
                 self.experiment(column, classifier, self.seed)
+
+    def _sized(self, column: EvalColumn) -> EvalColumn:
+        rows = self.map_rows if column.rows is None else column.rows
+        cols = self.map_cols if column.cols is None else column.cols
+        label = f"{column.pipeline}@{rows}x{cols}" if column.label is None else column.label
+        return EvalColumn(column.pipeline, rows, cols, label)
 
     def experiment(self, column: EvalColumn, classifier: str, seed: int) -> ExperimentConfig:
         """The settings of one grid cell."""
@@ -81,184 +94,151 @@ class ToolConfig(ExperimentConfig):
         return ExperimentConfig(**shared)
 
 
-def _check_keys(section: str, given: dict, allowed: tuple) -> None:
-    unknown = sorted(set(given) - set(allowed))
+# Value kinds.  A reader takes (JSON key, value), checks the value and
+# returns the setting; JSON null never reaches one (it means "not set").
+
+_INT64 = range(-(2**63), 2**63)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer that fits in 64 bits; a bool is not one."""
+    return type(value) is int and value in _INT64
+
+
+def _kind(what: str, test, convert=None):
+    def read(key: str, value):
+        if not test(value):
+            raise ValueError(f"config key {key!r} must be {what}")
+        return value if convert is None else convert(value)
+
+    return read
+
+
+_INT = _kind("an integer", _is_int)
+_NUMBER = _kind(
+    "a number", lambda v: _is_int(v) or (type(v) is float and math.isfinite(v)), float
+)
+_BOOL = _kind("a boolean", lambda v: isinstance(v, bool))
+_STR = _kind("a string", lambda v: isinstance(v, str))
+_STRINGS = _kind(
+    "a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), tuple
+)
+_INTS = _kind("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple)
+_OFFSETS = _kind(
+    "a list of [dr, dc] integer pairs",
+    lambda v: isinstance(v, list)
+    and all(isinstance(o, list) and len(o) == 2 and all(map(_is_int, o)) for o in v),
+    lambda v: tuple(tuple(o) for o in v),
+)
+
+
+def _holdout_counts(key: str, value) -> dict:
+    if not isinstance(value, dict) or not all(map(_is_int, value.values())):
+        raise ValueError(f"config key {key!r} must map class ids to integer counts")
+    try:
+        return {int(k): v for k, v in value.items()}
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r} must map class ids to integer counts: {exc}") from None
+
+
+def _fields(section: str, given, keys: dict) -> dict:
+    """The settings that the JSON object ``given`` sets, read by ``keys``
+    (JSON key -> (settings field, reader)).  Keys absent or null are left
+    out, so the settings dataclass's default holds.  A reader whose field is
+    None returns a dict of fields (a section flattened into ToolConfig)."""
+    if not isinstance(given, dict):
+        raise ValueError(f"config section {section!r} must be a JSON object")
+    unknown = sorted(given.keys() - keys.keys())
     if unknown:
         raise ValueError(f"unknown {section} config keys: {', '.join(unknown)}")
+    out = {}
+    for key, value in given.items():
+        if value is not None:
+            name, read = keys[key]
+            if name is None:
+                out.update(read(key, value))
+            else:
+                out[name] = read(key, value)
+    return out
 
 
-def _opt_int(d: dict, key: str, default):
-    v = d.get(key, default)
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"config key {key!r} must be an integer")
-    return v
+def _section(make, keys: dict):
+    return lambda key, value: make(**_fields(key, value, keys))
 
 
-def _opt_num(d: dict, key: str, default):
-    v = d.get(key, default)
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"config key {key!r} must be a number")
-    return float(v)
+def _same(**kinds) -> dict:
+    """Key table entries whose JSON key is the settings field's name."""
+    return {key: (key, read) for key, read in kinds.items()}
 
 
-def _opt_bool(d: dict, key: str, default: bool) -> bool:
-    v = d.get(key, default)
-    if not isinstance(v, bool):
-        raise ValueError(f"config key {key!r} must be a boolean")
-    return v
+_COLUMN = _same(pipeline=_STR, rows=_INT, cols=_INT, label=_STR)
 
 
-def _opt_str(d: dict, key: str, default: str) -> str:
-    v = d.get(key, default)
-    if not isinstance(v, str):
-        raise ValueError(f"config key {key!r} must be a string")
-    return v
+def _columns(key: str, value) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(c, dict) for c in value):
+        raise ValueError(f"config key {key!r} must be a list of objects")
+    # a column without a pipeline fails ExperimentConfig's name check
+    return tuple(
+        EvalColumn(**{"pipeline": "", **_fields("evaluate column", c, _COLUMN)}) for c in value
+    )
 
 
-def _str_list(d: dict, key: str, default: tuple) -> tuple:
-    v = d.get(key)
-    if v is None:
-        return default
-    if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
-        raise ValueError(f"config key {key!r} must be a list of strings")
-    return tuple(v)
+def _pipelines(key: str, value) -> tuple:
+    return tuple(EvalColumn(p, label=p) for p in _STRINGS(key, value))
+
+
+_EVALUATE = {
+    "pipelines": ("columns", _pipelines),
+    "columns": ("columns", _columns),
+    "classifiers": ("classifiers", _STRINGS),
+    "seeds": ("eval_seeds", _INTS),
+    "mode": ("eval_mode", _STR),
+    "holdout_counts": ("holdout_counts", _holdout_counts),
+}
+
+
+def _evaluate(key: str, value) -> dict:
+    settings = _fields(key, value, _EVALUATE)
+    if value.get("pipelines") is not None and value.get("columns") is not None:
+        raise ValueError("evaluate takes either pipelines or columns, not both")
+    return settings
+
+
+_SCHEDULE = _same(
+    steps_per_sample=_INT, alpha0=_NUMBER, alpha_final=_NUMBER, sigma0=_NUMBER, sigma_final=_NUMBER
+)
+
+_TOP = {
+    **_same(
+        seed=_INT,
+        fisher_dim=_INT,
+        knn_k=_INT,
+        folds=_INT,
+        preprocess=_section(PreprocessConfig, _same(crop=_BOOL, threshold=_INT, rescale=_BOOL)),
+        roi=_section(RoiConfig, _same(mode=_STR, sn=_INT, block_size=_INT, min_region_pixels=_INT)),
+        texture=_section(TextureConfig, _same(levels=_INT, offsets=_OFFSETS, symmetric=_BOOL)),
+    ),
+    # these sections set ToolConfig fields directly
+    "map": (None, _section(dict, {"rows": ("map_rows", _INT), "cols": ("map_cols", _INT)})),
+    "schedule": (None, _section(dict, _SCHEDULE)),
+    "evaluate": (None, _evaluate),
+}
 
 
 def config_from_dict(raw: dict) -> ToolConfig:
     if not isinstance(raw, dict):
         raise ValueError("config root must be a JSON object")
-    _check_keys(
-        "top-level",
-        raw,
-        (
-            "seed",
-            "preprocess",
-            "roi",
-            "texture",
-            "fisher_dim",
-            "map",
-            "schedule",
-            "knn_k",
-            "folds",
-            "evaluate",
-        ),
-    )
-    pre_raw = raw.get("preprocess", {})
-    _check_keys("preprocess", pre_raw, ("crop", "threshold", "rescale"))
-    preprocess = PreprocessConfig(
-        crop=_opt_bool(pre_raw, "crop", True),
-        threshold=_opt_int(pre_raw, "threshold", 0),
-        rescale=_opt_bool(pre_raw, "rescale", True),
-    )
-    roi_raw = raw.get("roi", {})
-    _check_keys("roi", roi_raw, ("mode", "sn", "block_size", "min_region_pixels"))
-    roi = RoiConfig(
-        mode=_opt_str(roi_raw, "mode", "pixelwise"),
-        sn=_opt_int(roi_raw, "sn", 6),
-        block_size=_opt_int(roi_raw, "block_size", 8),
-        min_region_pixels=_opt_int(roi_raw, "min_region_pixels", 4),
-    )
-    tex_raw = raw.get("texture", {})
-    _check_keys("texture", tex_raw, ("levels", "offsets", "symmetric"))
-    offsets = tex_raw.get("offsets")
-    if offsets is not None:
-        if not isinstance(offsets, list) or not all(
-            isinstance(o, list) and len(o) == 2 and all(isinstance(d, int) for d in o)
-            for o in offsets
-        ):
-            raise ValueError("texture offsets must be a list of [dr, dc] integer pairs")
-        offsets = tuple(tuple(o) for o in offsets)
-    texture = TextureConfig(
-        levels=_opt_int(tex_raw, "levels", 3),
-        offsets=offsets if offsets is not None else TextureConfig().offsets,
-        symmetric=_opt_bool(tex_raw, "symmetric", False),
-    )
-    map_raw = raw.get("map", {})
-    _check_keys("map", map_raw, ("rows", "cols"))
-    sched_raw = raw.get("schedule", {})
-    _check_keys(
-        "schedule",
-        sched_raw,
-        ("steps_per_sample", "alpha0", "alpha_final", "sigma0", "sigma_final"),
-    )
-    eval_raw = raw.get("evaluate", {})
-    _check_keys(
-        "evaluate",
-        eval_raw,
-        ("pipelines", "columns", "classifiers", "seeds", "mode", "holdout_counts"),
-    )
-    map_rows = _opt_int(map_raw, "rows", 5)
-    map_cols = _opt_int(map_raw, "cols", 5)
-    if "pipelines" in eval_raw and "columns" in eval_raw:
-        raise ValueError("evaluate takes either pipelines or columns, not both")
-    columns = None
-    if "pipelines" in eval_raw:
-        names = _str_list(eval_raw, "pipelines", ())
-        columns = tuple(EvalColumn(p, map_rows, map_cols, p) for p in names)
-    elif "columns" in eval_raw:
-        cols_raw = eval_raw["columns"]
-        if not isinstance(cols_raw, list) or not all(isinstance(c, dict) for c in cols_raw):
-            raise ValueError("evaluate columns must be a list of objects")
-        parsed = []
-        for c in cols_raw:
-            _check_keys("evaluate column", c, ("pipeline", "rows", "cols", "label"))
-            pipeline = _opt_str(c, "pipeline", "")
-            rows = _opt_int(c, "rows", map_rows)
-            cols = _opt_int(c, "cols", map_cols)
-            label = _opt_str(c, "label", f"{pipeline}@{rows}x{cols}")
-            parsed.append(EvalColumn(pipeline, rows, cols, label))
-        columns = tuple(parsed)
-    seeds = eval_raw.get("seeds")
-    if seeds is None:
-        seeds = (0,)
-    elif isinstance(seeds, list) and all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds
-    ):
-        seeds = tuple(seeds)
-    else:
-        raise ValueError("evaluate seeds must be a list of integers")
-    holdout_counts = eval_raw.get("holdout_counts")
-    if holdout_counts is not None:
-        if not isinstance(holdout_counts, dict):
-            raise ValueError("holdout_counts must map class ids to counts")
-        try:
-            holdout_counts = {int(k): int(v) for k, v in holdout_counts.items()}
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"holdout_counts must map class ids to counts: {exc}") from exc
-    return ToolConfig(
-        seed=_opt_int(raw, "seed", 0),
-        preprocess=preprocess,
-        roi=roi,
-        texture=texture,
-        fisher_dim=_opt_int(raw, "fisher_dim", None),
-        map_rows=map_rows,
-        map_cols=map_cols,
-        steps_per_sample=_opt_int(sched_raw, "steps_per_sample", 100),
-        alpha0=_opt_num(sched_raw, "alpha0", 0.5),
-        alpha_final=_opt_num(sched_raw, "alpha_final", 0.01),
-        sigma0=_opt_num(sched_raw, "sigma0", None),
-        sigma_final=_opt_num(sched_raw, "sigma_final", 0.5),
-        knn_k=_opt_int(raw, "knn_k", 1),
-        folds=_opt_int(raw, "folds", 10),
-        columns=columns,
-        classifiers=_str_list(eval_raw, "classifiers", CLASSIFIERS),
-        eval_seeds=seeds,
-        eval_mode=_opt_str(eval_raw, "mode", "cv"),
-        holdout_counts=holdout_counts,
-    )
+    return ToolConfig(**_fields("top-level", raw, _TOP))
 
 
 def load_config(path) -> ToolConfig:
     """Read a JSON config file.  Undecodable bytes and malformed JSON are data
-    problems; invalid settings are usage problems (ValueError)."""
+    problems, as is JSON nested too deeply or with an integer too long for
+    the decoder; invalid settings are usage problems (ValueError)."""
     text = read_text(path, "utf-8")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"config {path}: invalid JSON: {exc}") from exc
     try:
         return config_from_dict(raw)

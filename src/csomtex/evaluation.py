@@ -66,6 +66,8 @@ class ExperimentConfig:
             )
         if self.eval_mode not in EVAL_MODES:
             raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {self.eval_mode!r}")
+        if self.holdout_counts is not None and self.eval_mode != "holdout":
+            raise ValueError(f"holdout_counts needs eval_mode 'holdout', got {self.eval_mode!r}")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
         if self.map_rows < 1 or self.map_cols < 1:

@@ -17,6 +17,8 @@ from .errors import EmptyForegroundError, FormatError, TruncationError
 MAX_MAXVAL = 65535
 
 _WHITESPACE = b" \t\r\n\v\f"
+_COMMENT = ord("#")  # a comment runs to the end of its line
+_TOKEN_END = _WHITESPACE + b"#"
 
 
 @dataclass(eq=False)
@@ -80,11 +82,11 @@ class _Cursor:
     def _skip_filler(self) -> None:
         data, n = self.data, len(self.data)
         while self.pos < n:
-            b = data[self.pos : self.pos + 1]
-            if b in (b"#",):
+            b = data[self.pos]
+            if b == _COMMENT:
                 nl = data.find(b"\n", self.pos)
                 self.pos = n if nl < 0 else nl + 1
-            elif b in (b" ", b"\t", b"\r", b"\n", b"\v", b"\f"):
+            elif b in _WHITESPACE:
                 self.pos += 1
             else:
                 return
@@ -95,18 +97,15 @@ class _Cursor:
             raise TruncationError("PGM data ends inside the header")
         start = self.pos
         data, n = self.data, len(self.data)
-        while self.pos < n and data[self.pos : self.pos + 1] not in (
-            b" ", b"\t", b"\r", b"\n", b"\v", b"\f", b"#",
-        ):
+        while self.pos < n and data[self.pos] not in _TOKEN_END:
             self.pos += 1
         return data[start : self.pos]
 
     def next_int(self, what: str) -> int:
         tok = self.next_token()
-        try:
-            return int(tok)
-        except ValueError:
-            raise FormatError(f"invalid {what} token {tok!r} in PGM header") from None
+        if not tok.isdigit():  # ASCII digits only: no sign, "_" or other digits
+            raise FormatError(f"invalid {what} token {tok!r} in PGM header")
+        return int(tok)
 
 
 def load_pgm(data: bytes) -> Image:
@@ -145,9 +144,7 @@ def load_pgm(data: bytes) -> Image:
         pixels = np.array(values, dtype=np.int64).reshape(height, width)
     else:
         # Exactly one whitespace byte separates the maxval token from the raster.
-        if cur.pos >= len(data) or data[cur.pos : cur.pos + 1] not in (
-            b" ", b"\t", b"\r", b"\n", b"\v", b"\f",
-        ):
+        if cur.pos >= len(data) or data[cur.pos] not in _WHITESPACE:
             raise FormatError("P5 maxval must be followed by one whitespace byte")
         body = data[cur.pos + 1 :]
         nbytes = count * (1 if maxval < 256 else 2)

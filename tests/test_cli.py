@@ -19,7 +19,7 @@ from csomtex import (
     select_regions,
 )
 from csomtex.cli import main, read_manifest
-from csomtex.config import load_config
+from csomtex.config import ToolConfig, load_config
 
 CLASSES = 3
 PER_CLASS = 6
@@ -177,6 +177,15 @@ class TestExtract:
         assert "error:" in err
         assert not out.exists()
 
+    def test_signed_p2_sample_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "neg.pgm").write_bytes(b"P2\n2 1\n255\n1 -1\n")
+        (tmp_path / "m.txt").write_text("neg.pgm,0\n")
+        out = tmp_path / "f.csv"
+        code, _, err = run(capsys, ["extract", str(tmp_path / "m.txt"), "-o", str(out)])
+        assert code == 2
+        assert "invalid pixel token b'-1'" in err
+        assert not out.exists()
+
     def test_empty_manifest_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "m.txt"
         p.write_text("# nothing here\n")
@@ -303,6 +312,15 @@ class TestClassify:
         parts = out.split()
         assert parts[0] == "0" and len(parts) == 1 + CLASSES
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_vector_components_must_be_finite(self, features_csv, model_file, capsys, bad):
+        parts = features_csv.read_text().splitlines()[1].split(",")[:-1]
+        parts[0] = bad
+        code, out, err = run(capsys, ["classify", str(model_file), "--vector=" + ",".join(parts)])
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
     def test_pooled_model_rejected(self, corpus, features_csv, tmp_path, capsys):
         pooled = tmp_path / "p.txt"
         main(["train", str(features_csv), "-o", str(pooled),
@@ -396,6 +414,18 @@ class TestConfigErrors:
         assert code == 2
         assert "JSON" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}", '{"seed": 1' + "0" * 5000 + "}"],
+        ids=["deeply_nested", "5001_digit_integer"],
+    )
+    def test_json_the_decoder_cannot_read_is_data_error(self, text, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        code, _, err = run(capsys, ["evaluate", str(tmp_path / "absent.csv"), "--config", str(cfg)])
+        assert code == 2
+        assert "invalid JSON" in err and "c.json" in err
+
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize(
         "setting",
@@ -408,9 +438,10 @@ class TestConfigErrors:
             {"fisher_dim": 0},
             {"seed": -1},
             {"evaluate": {"seeds": [0, -2]}},
+            {"evaluate": {"holdout_counts": {"0": 1}}},
         ],
         ids=["steps_per_sample", "knn_k", "folds", "alpha0", "sigma_final", "fisher_dim",
-             "seed", "evaluate_seeds"],
+             "seed", "evaluate_seeds", "holdout_counts_under_cv"],
     )
     def test_bad_setting_fails_before_features_are_read(self, command, setting, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -423,6 +454,77 @@ class TestConfigErrors:
         assert code == 1, err
         assert "absent.csv" not in err
         assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"roi": {"sn": None}},
+            {"knn_k": None},
+            {"schedule": {"alpha0": None}},
+            {"seed": None},
+            {"folds": None},
+            {"preprocess": {"threshold": None}},
+            {"texture": {"levels": None}},
+            {"map": {"rows": None}},
+            {"schedule": {"sigma_final": None}},
+            {"roi": None},
+            {"evaluate": None},
+        ],
+        ids=lambda s: json.dumps(s),
+    )
+    def test_null_setting_loads_its_default(self, setting, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(setting))
+        assert repr(load_config(cfg)) == repr(ToolConfig())
+        # the config loads, so the missing features file is what fails
+        code, _, err = run(capsys, ["evaluate", str(tmp_path / "absent.csv"), "--config", str(cfg)])
+        assert code == 2
+        assert "absent.csv" in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "extract"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"roi": 5}, "config section 'roi' must be a JSON object"),
+            ({"roi": []}, "config section 'roi' must be a JSON object"),
+            ({"schedule": "fast"}, "config section 'schedule' must be a JSON object"),
+            ({"texture": {"offsets": [[True, 0]]}}, "integer pairs"),
+            ({"evaluate": {"mode": "holdout", "holdout_counts": {"0": 1.7}}}, "integer counts"),
+            ({"evaluate": {"mode": "holdout", "holdout_counts": {"0": True}}}, "integer counts"),
+            ({"evaluate": {"mode": "holdout", "holdout_counts": {"0": "2"}}}, "integer counts"),
+        ],
+        ids=["roi_int", "roi_list", "schedule_str", "bool_offset", "count_float", "count_bool",
+             "count_str"],
+    )
+    def test_badly_typed_setting_is_usage_error(self, command, setting, message, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(setting))
+        argv = [command, str(tmp_path / "absent.csv"), "--config", str(cfg)]
+        if command != "evaluate":
+            argv += ["-o", str(tmp_path / "out.txt")]
+        code, _, err = run(capsys, argv)
+        assert code == 1, err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize(
+        "evaluate, message",
+        [
+            ({"classifiers": ["knn", "knn"]}, "evaluate classifiers must be unique"),
+            ({"seeds": [1, 0, 1]}, "evaluate seeds must be unique"),
+            ({"holdout_counts": {"0": 1}}, "holdout_counts needs eval_mode 'holdout'"),
+        ],
+        ids=["classifiers", "seeds", "holdout_counts"],
+    )
+    def test_duplicate_or_unused_evaluate_setting(self, features_csv, evaluate, message,
+                                                  tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"evaluate": evaluate}))
+        code, out, err = run(capsys, ["evaluate", str(features_csv), "--config", str(cfg)])
+        assert code == 1
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_negative_seed_flag_fails_before_features_are_read(self, command, tmp_path, capsys):

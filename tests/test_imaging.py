@@ -89,6 +89,18 @@ class TestLoadPgm:
         with pytest.raises(FormatError, match="width"):
             load_pgm(b"P2\nx 2\n255\n1 1\n")
 
+    @pytest.mark.parametrize("token", [b"-1", b"+9", b"1_0", b"0x1", b"\xd9\xa3"])
+    def test_p2_sample_is_ascii_digits_only(self, token):
+        with pytest.raises(FormatError, match="invalid pixel token"):
+            load_pgm(b"P2\n2 1\n255\n1 " + token + b"\n")
+
+    def test_signed_header_token_rejected(self):
+        with pytest.raises(FormatError, match="width"):
+            load_pgm(b"P2\n+2 1\n255\n1 1\n")
+
+    def test_p2_leading_zeros_are_digits(self):
+        assert load_pgm(b"P2\n2 1\n0255\n007 255\n").pixels.tolist() == [[7, 255]]
+
     def test_pixel_above_maxval_rejected(self):
         with pytest.raises(FormatError, match="above"):
             load_pgm(b"P2\n1 1\n10\n11\n")

@@ -135,10 +135,16 @@ _OFFSETS = _kind(
 def _holdout_counts(key: str, value) -> dict:
     if not isinstance(value, dict) or not all(map(_is_int, value.values())):
         raise ValueError(f"config key {key!r} must map class ids to integer counts")
-    try:
-        return {int(k): v for k, v in value.items()}
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r} must map class ids to integer counts: {exc}") from None
+    bad = [k for k in value if not (k.isascii() and k.isdigit())]
+    if bad:
+        raise ValueError(
+            f"config key {key!r} must map class ids (ASCII digits) to integer counts, "
+            f"got {bad[0]!r}"
+        )
+    counts = {int(k): v for k, v in value.items()}
+    if len(counts) != len(value):
+        raise ValueError(f"config key {key!r} names a class id twice")
+    return counts
 
 
 def _fields(section: str, given, keys: dict) -> dict:

@@ -58,8 +58,9 @@ def split_by_class(data: Dataset) -> list[tuple[int, Dataset]]:
     ]
 
 
-def train_csom(data: Dataset, rows: int, cols: int, sched: TrainingSchedule) -> CsomModel:
-    """Train one map per class on that class's rows only.
+def class_maps(data: Dataset, rows: int, cols: int, sched: TrainingSchedule) -> list[tuple]:
+    """The training jobs of a per-class model, ascending class id: one
+    ``(class_id, initial map, class rows, schedule)`` per class.
 
     Each map is initialized with seed ``sched.seed + class_id`` and receives
     a share of ``sched.iterations`` proportional to its class size, so the
@@ -68,12 +69,21 @@ def train_csom(data: Dataset, rows: int, cols: int, sched: TrainingSchedule) -> 
     """
     groups = split_by_class(data)
     total = sum(sub.n for _, sub in groups)
-    entries = []
-    for cid, sub in groups:
-        share = max(1, round(sched.iterations * sub.n / total))
-        som = init_map(rows, cols, sub.dim, seed=sched.seed + cid, data=sub)
-        entries.append((cid, train(som, sub, derive_schedule(sched, share))))
-    return CsomModel(entries)
+    return [
+        (
+            cid,
+            init_map(rows, cols, sub.dim, seed=sched.seed + cid, data=sub),
+            sub,
+            derive_schedule(sched, max(1, round(sched.iterations * sub.n / total))),
+        )
+        for cid, sub in groups
+    ]
+
+
+def train_csom(data: Dataset, rows: int, cols: int, sched: TrainingSchedule) -> CsomModel:
+    """Train one map per class on that class's rows only (see class_maps)."""
+    jobs = class_maps(data, rows, cols, sched)
+    return CsomModel([(cid, train(som, sub, s)) for cid, som, sub, s in jobs])
 
 
 def _check_dim(model: CsomModel, dim: int) -> None:

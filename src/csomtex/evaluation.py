@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .csom import CsomModel, train_csom, transform_append, transform_replace
+from .csom import CsomModel, class_maps, transform_append, transform_replace
 from .data import Dataset, require_labels
 from .errors import DataError
 from .fisher import FisherProjection, fit_fisher, project_dataset
@@ -24,7 +24,8 @@ from .som import (
     append_prototypes,
     init_map,
     replace_with_prototypes,
-    train,
+    train,  # not called here; perfbench's tracer test checks evaluation.train is som.train
+    train_maps,
 )
 
 PIPELINES = ("raw", "som-replace", "som-append", "csom-replace", "csom-append")
@@ -68,6 +69,8 @@ class ExperimentConfig:
             raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {self.eval_mode!r}")
         if self.holdout_counts is not None and self.eval_mode != "holdout":
             raise ValueError(f"holdout_counts needs eval_mode 'holdout', got {self.eval_mode!r}")
+        if self.holdout_counts is not None and min(self.holdout_counts.values(), default=0) < 0:
+            raise ValueError(f"holdout counts must be >= 0, got {self.holdout_counts}")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
         if self.map_rows < 1 or self.map_cols < 1:
@@ -138,17 +141,37 @@ class FittedPipeline:
     ) -> "FittedPipeline":
         """Fit the projection (unless one is given) and the map(s) that
         ``cfg.pipeline`` names on a labeled dataset."""
-        if fisher is None:
-            fisher = fit_fisher(data, cfg.fisher_dim)
+        return cls.fit_all([data], cfg, None if fisher is None else [fisher])[0]
+
+    @classmethod
+    def fit_all(
+        cls, splits, cfg: ExperimentConfig, fishers=None
+    ) -> list["FittedPipeline"]:
+        """``fit`` on each labeled split, with ``fishers[i]`` as split i's
+        projection (fitted here when ``fishers`` is None).  The maps of every
+        split train together in one ``train_maps`` call."""
+        splits = list(splits)
+        if fishers is None:
+            fishers = [fit_fisher(split, cfg.fisher_dim) for split in splits]
         kind, _, mode = cfg.pipeline.partition("-")
         if kind == "raw":
-            return cls(fisher)
-        z = project_dataset(fisher, data)
-        sched = cfg.schedule(z.n)
+            return [cls(fisher) for fisher in fishers]
+        jobs = []  # (split index, class id or None, initial map, its rows, schedule)
+        for i, (split, fisher) in enumerate(zip(splits, fishers)):
+            z = project_dataset(fisher, split)
+            sched = cfg.schedule(z.n)
+            if kind == "csom":
+                jobs += [(i, *job) for job in class_maps(z, cfg.map_rows, cfg.map_cols, sched)]
+            else:
+                som = init_map(cfg.map_rows, cfg.map_cols, z.dim, seed=cfg.seed, data=z)
+                jobs.append((i, None, som, z, sched))
+        trained = train_maps([j[2] for j in jobs], [j[3] for j in jobs], [j[4] for j in jobs])
+        entries = [[] for _ in splits]
+        for (i, cid, *_), som in zip(jobs, trained):
+            entries[i].append((cid, som))
         if kind == "csom":
-            return cls(fisher, csom=train_csom(z, cfg.map_rows, cfg.map_cols, sched), mode=mode)
-        som = init_map(cfg.map_rows, cfg.map_cols, z.dim, seed=cfg.seed, data=z)
-        return cls(fisher, som=train(som, z, sched), mode=mode)
+            return [cls(f, csom=CsomModel(e), mode=mode) for f, e in zip(fishers, entries)]
+        return [cls(f, som=e[0][1], mode=mode) for f, e in zip(fishers, entries)]
 
     def transform(self, data: Dataset, mode: str | None = None) -> Dataset:
         """Project, then replace each row by its winning prototype or append
@@ -211,8 +234,13 @@ def holdout_split(
     data: Dataset, counts: dict | None = None, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
     """Per-class holdout: reserve ``counts[class]`` rows of each class for
-    testing (default: 22% of the class, at least one row)."""
+    testing (default: 22% of the class, at least one row).  A class the
+    counts leave out keeps all its rows for training; one they name that
+    the data lacks is a DataError."""
     labels = require_labels(data)
+    absent = sorted(set(counts or ()) - set(np.unique(labels).tolist()))
+    if absent:
+        raise DataError(f"holdout counts name class(es) {absent} absent from the data")
     rng = np.random.default_rng(seed)
     test_rows = []
     for cid in np.unique(labels):
@@ -305,24 +333,54 @@ class FoldModels:
         return self.pipeline.som
 
 
+def _fit_keys(cfg: ExperimentConfig) -> tuple:
+    """The keys of cfg's projection and of its fitted pipeline among one
+    split's fits: fits made under the same settings are shared."""
+    kind = cfg.pipeline.partition("-")[0]
+    return (
+        ("fisher", cfg.fisher_dim),
+        (kind, cfg.fisher_dim, cfg.map_rows, cfg.map_cols, repr(cfg.schedule(1))),
+    )
+
+
+def _fit_folds(train_splits: list, cfg: ExperimentConfig, fitted: list) -> None:
+    """Add cfg's projection and pipeline to each split's fits (``fitted[i]``
+    for split i) that lacks them; the maps of all those splits train in one
+    engine call.  A projection that fails is stored in its place and raised
+    by _fit_fold, so a fold loop meets the errors in fold order."""
+    fisher_key, key = _fit_keys(cfg)
+    for split, fits in zip(train_splits, fitted):
+        if fisher_key not in fits:
+            try:
+                fits[fisher_key] = fit_fisher(split, cfg.fisher_dim)
+            except (DataError, ValueError) as exc:
+                fits[fisher_key] = exc
+    todo = [
+        i for i, fits in enumerate(fitted)
+        if key not in fits and not isinstance(fits[fisher_key], Exception)
+    ]
+    if todo:
+        pipelines = FittedPipeline.fit_all(
+            [train_splits[i] for i in todo], cfg, [fitted[i][fisher_key] for i in todo]
+        )
+        for i, pipeline in zip(todo, pipelines):
+            fitted[i][key] = pipeline
+
+
 def _fit_fold(train_split: Dataset, cfg: ExperimentConfig, fitted: dict) -> FoldModels:
-    """fit_fold, taking the projection and maps from ``fitted`` (this split's
-    fits so far) when one was fitted under the same settings, and adding
-    the ones it fits."""
-    fisher_key = ("fisher", cfg.fisher_dim)
-    if fisher_key not in fitted:
-        fitted[fisher_key] = fit_fisher(train_split, cfg.fisher_dim)
-    kind, _, mode = cfg.pipeline.partition("-")
-    key = (kind, cfg.fisher_dim, cfg.map_rows, cfg.map_cols, repr(cfg.schedule(1)))
-    if key not in fitted:
-        fitted[key] = FittedPipeline.fit(train_split, cfg, fitted[fisher_key])
-    features = fitted[key].transform(train_split, mode)
+    """fit_fold from this split's fits (see _fit_folds)."""
+    fisher_key, key = _fit_keys(cfg)
+    if isinstance(fitted[fisher_key], Exception):
+        raise fitted[fisher_key]
+    features = fitted[key].transform(train_split, cfg.pipeline.partition("-")[2])
     return FoldModels(fitted[key], features, gnb_fit(features) if cfg.classifier == "gnb" else None)
 
 
 def fit_fold(train_split: Dataset, cfg: ExperimentConfig) -> FoldModels:
     """Fit Fisher, the configured map(s), and the classifier on one split."""
-    return _fit_fold(train_split, cfg, {})
+    fitted = {}
+    _fit_folds([train_split], cfg, [fitted])
+    return _fit_fold(train_split, cfg, fitted)
 
 
 def predict_fold(models: FoldModels, test_split: Dataset, cfg: ExperimentConfig) -> np.ndarray:
@@ -350,7 +408,8 @@ def run_experiments(data: Dataset, cfgs) -> list[EvaluationReport]:
 
     Configurations with the same split settings and seed share their splits.
     On each fold the projection is fitted once per ``fisher_dim`` and the maps
-    once per map kind, grid and schedule; every transform mode and classifier
+    once per map kind, grid and schedule, the maps of all folds of a
+    configuration in one engine call; every transform mode and classifier
     is scored from those fits.  The reports, and the first error raised, are
     those of running each configuration alone, in order.
     """
@@ -366,13 +425,16 @@ def run_experiments(data: Dataset, cfgs) -> list[EvaluationReport]:
                 splits_by_key[split_key] = [holdout_split(data, cfg.holdout_counts, seed=cfg.seed)]
             else:
                 splits_by_key[split_key] = kfold_split(data, cfg.folds, seed=cfg.seed)
+        splits = splits_by_key[split_key]
+        fits = [fitted.setdefault((split_key, i), {}) for i in range(len(splits))]
+        _fit_folds([train_split for train_split, _ in splits], cfg, fits)
         confusion = np.zeros((class_ids.size, class_ids.size), dtype=np.int64)
         accuracies = []
-        for fold_i, (train_split, test_split) in enumerate(splits_by_key[split_key]):
+        for fold_i, (train_split, test_split) in enumerate(splits):
             if test_split.n == 0:
                 raise DataError(f"fold {fold_i} has an empty test split")
             try:
-                models = _fit_fold(train_split, cfg, fitted.setdefault((split_key, fold_i), {}))
+                models = _fit_fold(train_split, cfg, fits[fold_i])
                 preds = predict_fold(models, test_split, cfg)
             except (DataError, ValueError) as exc:
                 raise DataError(f"fold {fold_i}: {exc}") from exc

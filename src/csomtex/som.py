@@ -66,12 +66,14 @@ class TrainingSchedule:
         if not 0.0 < self.sigma_final <= self.sigma0:
             raise ValueError("need 0 < sigma_final <= sigma0")
 
-    def alpha_at(self, t: int) -> float:
+    def alpha_at(self, t):
+        """The learning rate at step t (an int, or an integer array of steps)."""
         if self.iterations == 1:
             return self.alpha0
         return self.alpha0 + (self.alpha_final - self.alpha0) * t / (self.iterations - 1)
 
-    def sigma_at(self, t: int) -> float:
+    def sigma_at(self, t):
+        """The kernel width at step t (an int, or an integer array of steps)."""
         if self.iterations == 1:
             return self.sigma0
         return self.sigma0 + (self.sigma_final - self.sigma0) * t / (self.iterations - 1)
@@ -141,16 +143,10 @@ def neighborhood(som: SomMap, winner: int, unit: int, sigma: float) -> float:
     return float(np.exp(-d2 / (2.0 * sigma * sigma)))
 
 
-def _update_inplace(
-    weights: np.ndarray, positions: np.ndarray, x: np.ndarray, alpha: float, sigma: float
-) -> int:
-    """One online step: move every unit toward x by alpha * h(winner, unit)."""
-    d = np.linalg.norm(weights - x, axis=1)
-    winner = int(np.argmin(d))
-    g2 = ((positions - positions[winner]) ** 2).sum(axis=1)
-    h = np.exp(-g2 / (2.0 * sigma * sigma))
-    weights += (alpha * h)[:, None] * (x - weights)
-    return winner
+# train_maps builds its per-step tables (learning rates, kernel widths and
+# sample rows) this many steps at a time, so their memory stays fixed
+# however long the schedules run.
+STEP_CHUNK = 512
 
 
 def train_step(som: SomMap, x, alpha: float, sigma: float) -> SomMap:
@@ -160,9 +156,7 @@ def train_step(som: SomMap, x, alpha: float, sigma: float) -> SomMap:
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     x = _check_vector(som, x)
-    out = som.copy()
-    _update_inplace(out.weights, som.positions(), x, alpha, sigma)
-    return out
+    return train(som, x[None, :], TrainingSchedule(1, alpha, alpha, sigma, sigma))
 
 
 def train(som: SomMap, data, sched: TrainingSchedule) -> SomMap:
@@ -172,20 +166,101 @@ def train(som: SomMap, data, sched: TrainingSchedule) -> SomMap:
     sigma interpolate linearly between their endpoints, so both decrease
     monotonically over the run.
     """
+    return train_maps([som], [data], [sched])[0]
+
+
+def _training_matrix(som: SomMap, data) -> np.ndarray:
     X = _data_matrix(data)
     if X.shape[0] == 0:
         raise ValueError("training data must be non-empty")
     if X.ndim != 2 or X.shape[1] != som.dim:
         raise ShapeError(f"data shape {X.shape} incompatible with map dim {som.dim}")
-    order = np.random.default_rng(sched.seed).permutation(X.shape[0])
-    out = som.copy()
-    positions = out.positions()
-    weights = out.weights
-    n = X.shape[0]
-    for t in range(sched.iterations):
-        x = X[order[t % n]]
-        _update_inplace(weights, positions, x, sched.alpha_at(t), sched.sigma_at(t))
+    return X
+
+
+def train_maps(maps, datas, scheds) -> list[SomMap]:
+    """Train ``maps[j]`` on ``datas[j]`` under ``scheds[j]``, all maps in one
+    online loop; the input maps are left unchanged.
+
+    Each map keeps its own run: its rows shuffled once with its own seed and
+    then cycled, its own step budget and its own rate and width ramps.
+    Every step does one BMU search, one Gaussian neighbourhood and one update
+    for a stack of the maps that share a grid and dimension, with the
+    per-map arithmetic of a map trained alone, so each result is bitwise the
+    same whichever maps share the call.
+    """
+    maps, datas, scheds = list(maps), list(datas), list(scheds)
+    if not len(maps) == len(datas) == len(scheds):
+        raise ValueError("train_maps needs one data set and one schedule per map")
+    Xs = [_training_matrix(som, data) for som, data in zip(maps, datas)]
+    stacks = {}
+    for j, som in enumerate(maps):
+        stacks.setdefault((som.rows, som.cols, som.dim), []).append(j)
+    out = [None] * len(maps)
+    for (rows, cols, _), members in stacks.items():
+        members.sort(key=lambda j: -scheds[j].iterations)  # stable: ties keep call order
+        # component-major (n_maps, dim, units) in memory, so each numpy call
+        # of a step runs along the units
+        W = np.ascontiguousarray(np.stack([maps[j].weights.T for j in members]))
+        _train_stack(W, cols, [Xs[j] for j in members], [scheds[j] for j in members])
+        for j, weights in zip(members, W):
+            out[j] = SomMap(rows, cols, weights.T.copy())
     return out
+
+
+def _train_stack(W: np.ndarray, cols: int, Xs: list, scheds: list) -> None:
+    """The online loop over a (n_maps, dim, units) stack, in place.
+
+    Budgets must not increase along the stack, so the maps still training
+    at step t are always the leading ones, W[:k]; a finished map is never
+    touched again.
+    """
+    _, dim, units = W.shape
+    rows = units // cols
+    budgets = np.array([s.iterations for s in scheds])
+    # every map's rows in one pool; a map's shuffled order indexes its part
+    pool = np.concatenate(Xs)[:, :, None]
+    starts = np.cumsum([0] + [X.shape[0] for X in Xs])
+    orders = [
+        start + np.random.default_rng(s.seed).permutation(X.shape[0])
+        for start, X, s in zip(starts, Xs, scheds)
+    ]
+    # unit i sits at (i // cols, i % cols); its squared grid distance to the
+    # winner is a row term plus a column term, both exact in float64
+    r = np.arange(rows, dtype=np.float64)
+    c = np.arange(cols, dtype=np.float64)
+    neg_r2 = -((r[:, None] - r) ** 2)[:, :, None]  # (rows, rows, 1)
+    neg_c2 = -((c[:, None] - c) ** 2)[:, None, :]  # (cols, 1, cols)
+    for t0 in range(0, int(budgets[0]), STEP_CHUNK):
+        steps = np.arange(t0, min(t0 + STEP_CHUNK, int(budgets[0])))
+        active = int(np.count_nonzero(budgets > t0))
+        alpha = np.empty((steps.size, active, 1, 1))
+        width = np.empty((steps.size, active, 1, 1))  # 2 sigma^2
+        sample = np.empty((steps.size, active), dtype=np.int64)
+        for j in range(active):
+            t = steps[steps < budgets[j]]
+            alpha[: t.size, j, 0, 0] = scheds[j].alpha_at(t)
+            sigma = scheds[j].sigma_at(t)
+            width[: t.size, j, 0, 0] = 2.0 * sigma * sigma
+            sample[: t.size, j] = orders[j][t % orders[j].size]
+        training = (budgets[:active, None] > steps).sum(axis=0)
+        for i, k in enumerate(training.tolist()):
+            w = W[:k]
+            diff = pool.take(sample[i, :k], axis=0) - w  # x - W
+            sq = diff * diff
+            # Sum the squares in the order np.linalg.norm sums a unit's
+            # components along its contiguous axis: fewer than 8 terms one
+            # after another, as a sum over the component axis here adds
+            # them; 8 or more in pairwise blocks, which only a sum along a
+            # contiguous copy reproduces.
+            if dim < 8:
+                d2 = np.add.reduce(sq, axis=1)
+            else:
+                d2 = np.add.reduce(np.ascontiguousarray(sq.transpose(0, 2, 1)), axis=2)
+            # the root keeps ties as np.linalg.norm leaves them
+            wr, wc = np.divmod(np.sqrt(d2).argmin(axis=1), cols)
+            h = np.exp((neg_r2.take(wr, axis=0) + neg_c2.take(wc, axis=0)) / width[i, :k])
+            w += (alpha[i, :k] * h).reshape(k, 1, units) * diff
 
 
 def quantization_error(som: SomMap, data) -> float:

@@ -19,6 +19,10 @@ FEATURES_PER_GLCM = 4  # energy, contrast, entropy, homogeneity
 # counts: no more than one region's matrix once that is the larger.
 MAX_GLCM_BINS = 1 << 16
 
+# An 8-bit image has at most 256 gray values, and GLCM work grows as
+# levels**2 per region, so more levels only cost time and memory.
+MAX_LEVELS = 256
+
 
 @dataclass(eq=False)
 class Glcm:
@@ -43,8 +47,8 @@ class TextureConfig:
     symmetric: bool = False
 
     def __post_init__(self) -> None:
-        if self.levels < 2:
-            raise ValueError("levels must be >= 2")
+        if not 2 <= self.levels <= MAX_LEVELS:
+            raise ValueError(f"texture levels must lie in [2, {MAX_LEVELS}], got {self.levels}")
         self.offsets = tuple((int(dr), int(dc)) for dr, dc in self.offsets)
         if not self.offsets:
             raise ValueError("at least one offset is required")

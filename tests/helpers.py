@@ -1,4 +1,4 @@
-"""Shared synthetic-data builders for the test suite."""
+"""Shared synthetic-data builders and reference loops for the test suite."""
 
 from __future__ import annotations
 
@@ -39,3 +39,26 @@ def image_from(rows, max_value: int = 255) -> Image:
 
 def random_image(rng: np.random.Generator, h: int, w: int, levels: int) -> Image:
     return Image(rng.integers(0, levels, size=(h, w)), levels - 1)
+
+
+def train_oracle(som, data, sched):
+    """Reference online loop: one map, one step at a time, as ``train`` ran
+    before the lockstep engine.  The engine must match it bitwise."""
+    X = data.X if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
+    order = np.random.default_rng(sched.seed).permutation(X.shape[0])
+    weights = som.weights.copy()
+    positions = som.positions()
+    for t in range(sched.iterations):
+        x = X[order[t % X.shape[0]]]
+        alpha, sigma = sched.alpha_at(t), sched.sigma_at(t)
+        d = np.linalg.norm(weights - x, axis=1)
+        winner = int(np.argmin(d))
+        g2 = ((positions - positions[winner]) ** 2).sum(axis=1)
+        h = np.exp(-g2 / (2.0 * sigma * sigma))
+        weights += (alpha * h)[:, None] * (x - weights)
+    return weights
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw float64 bits, so equality is bitwise (-0.0 != 0.0)."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)

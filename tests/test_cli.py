@@ -186,6 +186,19 @@ class TestExtract:
         assert "invalid pixel token b'-1'" in err
         assert not out.exists()
 
+    def test_levels_above_256_fail_before_any_image_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"texture": {"levels": 257}}))
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("absent.pgm,0\n")
+        code, _, err = run(capsys, [
+            "extract", str(manifest), "-o", str(tmp_path / "f.csv"), "--config", str(cfg),
+        ])
+        assert code == 1
+        assert "texture levels must lie in [2, 256], got 257" in err
+        assert "absent.pgm" not in err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_empty_manifest_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "m.txt"
         p.write_text("# nothing here\n")
@@ -385,6 +398,26 @@ class TestEvaluate:
         assert seeds == {"7"}
 
 
+    @pytest.mark.parametrize(
+        "counts, code, message",
+        [
+            ({"0": 2, "1": 1}, 0, ""),
+            ({"0": 2, "1": 2, "2": 2, "1_0": 5, "-1": 3}, 1, "class ids (ASCII digits)"),
+            ({"0": 2, "1": 2, "2": 2, "7": 1}, 2, "class(es) [7] absent from the data"),
+        ],
+        ids=["class_2_left_out", "non_digit_keys", "absent_class"],
+    )
+    def test_holdout_counts(self, corpus, features_csv, counts, code, message, tmp_path, capsys):
+        settings = json.loads((corpus / "config.json").read_text())
+        settings["evaluate"].update(mode="holdout", holdout_counts=counts)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(settings))
+        got, out, err = run(capsys, ["evaluate", str(features_csv), "--config", str(cfg)])
+        assert got == code, err
+        assert message in err and "Traceback" not in err
+        assert (out != "") == (code == 0)
+
+
 class TestConfigErrors:
     def test_unknown_key(self, features_csv, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -439,9 +472,12 @@ class TestConfigErrors:
             {"seed": -1},
             {"evaluate": {"seeds": [0, -2]}},
             {"evaluate": {"holdout_counts": {"0": 1}}},
+            {"texture": {"levels": 257}},
+            {"evaluate": {"mode": "holdout", "holdout_counts": {"0": 2, "1": -1}}},
         ],
         ids=["steps_per_sample", "knn_k", "folds", "alpha0", "sigma_final", "fisher_dim",
-             "seed", "evaluate_seeds", "holdout_counts_under_cv"],
+             "seed", "evaluate_seeds", "holdout_counts_under_cv", "texture_levels",
+             "negative_holdout_count"],
     )
     def test_bad_setting_fails_before_features_are_read(self, command, setting, tmp_path, capsys):
         cfg = tmp_path / "c.json"

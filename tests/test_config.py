@@ -112,6 +112,13 @@ def test_defaults_come_from_the_settings_dataclasses():
         ({"evaluate": {"columns": [{"rows": 2}]}}, "unknown pipeline ''"),
         ({"evaluate": {"columns": [{"pipeline": "raw", "size": 2}]}},
          "unknown evaluate column config keys: size"),
+        ({"evaluate": {"mode": "holdout", "holdout_counts": {"1_0": 5}}}, "got '1_0'"),
+        ({"evaluate": {"mode": "holdout", "holdout_counts": {"-1": 3}}}, "got '-1'"),
+        ({"evaluate": {"mode": "holdout", "holdout_counts": {" 1": 3}}}, "got ' 1'"),
+        ({"evaluate": {"mode": "holdout", "holdout_counts": {"\u0661": 3}}}, "(ASCII digits)"),
+        ({"evaluate": {"mode": "holdout", "holdout_counts": {"1": 2, "01": 3}}},
+         "names a class id twice"),
+        ({"texture": {"levels": 257}}, "texture levels must lie in [2, 256], got 257"),
     ],
 )
 def test_bad_values_are_value_errors(raw, message):

@@ -13,6 +13,7 @@ from csomtex import (
     SomMap,
     TrainingSchedule,
     UNLABELED,
+    class_maps,
     classify,
     classify_dataset,
     init_map,
@@ -23,7 +24,7 @@ from csomtex import (
     transform_replace,
 )
 from csomtex.som import derive_schedule
-from helpers import gaussian_blobs
+from helpers import bits, gaussian_blobs, train_oracle
 
 
 def two_class_model(dim: int = 2) -> CsomModel:
@@ -91,6 +92,21 @@ class TestTrainCsom:
         assert sum(shares) == sched.iterations
         model = train_csom(data, 1, 2, sched)
         assert model.n_classes == 3
+
+    def test_class_maps_jobs_train_like_the_reference_loop(self):
+        data = gaussian_blobs([7, 1, 12], dim=3, seed=2)  # class 1 has one row
+        sched = TrainingSchedule(iterations=200, alpha_final=0.0, sigma0=1.5, seed=3)
+        jobs = class_maps(data, 2, 3, sched)
+        assert [cid for cid, *_ in jobs] == [0, 1, 2]
+        assert [s.iterations for *_, s in jobs] == [70, 10, 120]
+        model = train_csom(data, 2, 3, sched)
+        for (cid, som, sub, s), (model_cid, trained) in zip(jobs, model.entries):
+            assert model_cid == cid and s.seed == sched.seed
+            assert sub == dict(split_by_class(data))[cid]
+            np.testing.assert_array_equal(
+                som.weights, init_map(2, 3, 3, seed=sched.seed + cid, data=sub).weights
+            )
+            np.testing.assert_array_equal(bits(trained.weights), bits(train_oracle(som, sub, s)))
 
 
 

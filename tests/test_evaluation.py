@@ -17,12 +17,16 @@ from csomtex import (
     holdout_split,
     kfold_split,
     knn_predict,
+    init_map,
     predict_fold,
+    project_dataset,
     run_experiment,
+    split_by_class,
 )
 from csomtex import evaluation
 from csomtex.evaluation import run_experiments
-from helpers import gaussian_blobs
+from csomtex.som import derive_schedule
+from helpers import bits, gaussian_blobs, train_oracle
 
 
 class TestKfoldSplit:
@@ -83,6 +87,11 @@ class TestHoldoutSplit:
         _, test = holdout_split(data, None, seed=0)
         assert (test.labels == 0).sum() == round(HOLDOUT_FRACTION * 10)
         assert (test.labels == 1).sum() == 1  # max(1, round(.22 * 3))
+
+    def test_class_absent_from_the_data_is_data_error(self):
+        data = gaussian_blobs([4, 4], dim=2)
+        with pytest.raises(DataError, match=r"class\(es\) \[2, 10\] absent"):
+            holdout_split(data, {0: 1, 2: 1, 10: 1})
 
     def test_bad_counts(self):
         data = gaussian_blobs([4, 4], dim=2)
@@ -229,6 +238,35 @@ class TestFittedPipeline:
         per_class = FittedPipeline.fit(data, ExperimentConfig(map_rows=2, map_cols=2))
         assert per_class.csom.n_classes == 3 and per_class.mode == "replace"
 
+    def test_maps_match_the_reference_loop(self):
+        # fit_all trains every map of every split in one engine call; each
+        # map is bitwise the one-map reference loop's, and fit's
+        data = gaussian_blobs([9, 6, 4], dim=5, seed=8)
+        splits = [train_split for train_split, _ in kfold_split(data, 3, seed=1)]
+        for pipeline in ("csom-replace", "som-append"):
+            cfg = ExperimentConfig(
+                pipeline=pipeline, map_rows=2, map_cols=3, steps_per_sample=15,
+                alpha_final=0.0, seed=4,
+            )
+            for split, fitted in zip(splits, FittedPipeline.fit_all(splits, cfg)):
+                alone = FittedPipeline.fit(split, cfg)
+                z = project_dataset(fitted.fisher, split)
+                sched = cfg.schedule(z.n)
+                if fitted.single_som:
+                    init = init_map(2, 3, z.dim, seed=cfg.seed, data=z)
+                    cases = [(fitted.som, alone.som, train_oracle(init, z, sched))]
+                else:
+                    cases = []
+                    for (cid, som), (_, som_alone), (_, sub) in zip(
+                        fitted.csom.entries, alone.csom.entries, split_by_class(z)
+                    ):
+                        share = derive_schedule(sched, round(sched.iterations * sub.n / z.n))
+                        init = init_map(2, 3, z.dim, seed=cfg.seed + cid, data=sub)
+                        cases.append((som, som_alone, train_oracle(init, sub, share)))
+                for som, som_alone, expect in cases:
+                    np.testing.assert_array_equal(bits(som.weights), bits(expect))
+                    np.testing.assert_array_equal(bits(som_alone.weights), bits(expect))
+
 
 class TestRunExperiments:
     def _grid(self):
@@ -252,20 +290,46 @@ class TestRunExperiments:
 
     def test_fits_each_fold_once(self, monkeypatch):
         data = gaussian_blobs([9, 8, 7], dim=4, seed=6)
-        calls = {"fit_fisher": 0, "train": 0, "train_csom": 0}
+        fishers = []
+        engine_calls = []  # the maps of each train_maps call, as (weights, rows, schedule)
+        fit_fisher, train_maps = evaluation.fit_fisher, evaluation.train_maps
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_fisher(*args, **kwargs):
+            fishers.append(args)
+            return fit_fisher(*args, **kwargs)
 
-        for name in calls:
-            monkeypatch.setattr(evaluation, name, counted(name, getattr(evaluation, name)))
+        def counted_engine(maps, datas, scheds):
+            engine_calls.append([
+                (m.weights.tobytes(), d.X.tobytes(), repr(s))
+                for m, d, s in zip(maps, datas, scheds)
+            ])
+            return train_maps(maps, datas, scheds)
+
+        monkeypatch.setattr(evaluation, "fit_fisher", counted_fisher)
+        monkeypatch.setattr(evaluation, "train_maps", counted_engine)
         run_experiments(data, self._grid())
-        # 2 seeds x 3 folds: one projection, one pooled map and one set of
-        # per-class maps each, shared by both modes and both classifiers
-        assert calls == {"fit_fisher": 6, "train": 6, "train_csom": 6}
+        # 2 seeds x 3 folds: one projection each.  Per seed, one engine call
+        # trains the pooled map of each fold and one the 3 class maps of
+        # each fold, shared by both modes and both classifiers.
+        assert len(fishers) == 6
+        assert [len(maps) for maps in engine_calls] == [3, 3, 9, 9]
+        every_map = [m for maps in engine_calls for m in maps]
+        assert len(set(every_map)) == len(every_map) == 24
+
+    def test_first_error_is_the_sequential_one(self):
+        # 2 folds: fold 0 fails in its k-NN predictions (k = 5 > its 4
+        # training rows), after its fits; fold 1's Fisher fit fails too
+        # (one row of class 1), and all folds are fitted before fold 0
+        # predicts, yet the error raised is fold 0's
+        data = Dataset(
+            np.random.default_rng(0).normal(size=(8, 3)), np.array([0] * 5 + [1] * 3)
+        )
+        with pytest.raises(DataError, match="every class needs at least two rows"):
+            evaluation.fit_fisher(kfold_split(data, 2, seed=0)[1][0])
+        for pipeline in ("raw", "som-replace", "csom-append"):
+            cfg = ExperimentConfig(pipeline=pipeline, knn_k=5, folds=2, map_rows=2, map_cols=2)
+            with pytest.raises(DataError, match=r"^fold 0: k must lie in \[1, 4\], got 5$"):
+                run_experiment(data, cfg)
 
 
 class TestRunExperiment:

@@ -20,9 +20,11 @@ from csomtex import (
     quantization_error,
     replace_with_prototypes,
     train,
+    train_maps,
     train_step,
 )
-from helpers import gaussian_blobs
+from csomtex.som import STEP_CHUNK
+from helpers import bits, gaussian_blobs, train_oracle
 
 
 def update_oracle(som: SomMap, x, alpha: float, sigma: float) -> np.ndarray:
@@ -224,6 +226,101 @@ class TestTrain:
         som = init_map(2, 2, 3)
         with pytest.raises(ValueError):
             train(som, np.zeros((0, 3)), TrainingSchedule(iterations=10))
+
+
+class TestTrainMaps:
+    """The lockstep engine against the one-map reference loop, bit for bit."""
+
+    def check(self, maps, datas, scheds):
+        before = [bits(m.weights).copy() for m in maps]
+        out = train_maps(maps, datas, scheds)
+        assert len(out) == len(maps)
+        for som, init, X, sched, b in zip(out, maps, datas, scheds, before):
+            assert (som.rows, som.cols) == (init.rows, init.cols)
+            np.testing.assert_array_equal(bits(som.weights), bits(train_oracle(init, X, sched)))
+            np.testing.assert_array_equal(bits(init.weights), b)
+
+    def test_mixed_stacks_match_oracle(self):
+        # unequal budgets from 1 step to past two chunks, 1x1 grids, 1-row
+        # data, alpha_final 0 and dims on both sides of 8, all in one call
+        rng = np.random.default_rng(7)
+        budgets = [1, 2, 3, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 2 * STEP_CHUNK + 3]
+        maps, datas, scheds = [], [], []
+        for j in range(36):
+            rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            dim = int(rng.choice([1, 2, 6, 8, 11]))
+            X = rng.normal(size=(int(rng.integers(1, 9)), dim))
+            maps.append(init_map(rows, cols, dim, seed=j, data=X))
+            datas.append(X)
+            scheds.append(
+                TrainingSchedule(
+                    iterations=budgets[j % len(budgets)] if j % 3 else int(rng.integers(1, 200)),
+                    alpha0=float(rng.uniform(0.2, 1.0)),
+                    alpha_final=float(rng.choice([0.0, 0.01])),
+                    sigma0=2.0,
+                    sigma_final=float(rng.choice([0.3, 2.0])),
+                    seed=j,
+                )
+            )
+        self.check(maps, datas, scheds)
+
+    def test_one_map_and_empty_call(self):
+        data = gaussian_blobs([6, 5], dim=3, seed=1)
+        som = init_map(2, 3, 3, seed=4, data=data)
+        sched = TrainingSchedule(iterations=90, sigma0=1.5, seed=5)
+        self.check([som], [data], [sched])
+        np.testing.assert_array_equal(
+            bits(train(som, data, sched).weights), bits(train_oracle(som, data, sched))
+        )
+        assert train_maps([], [], []) == []
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_distances_tied_by_the_root(self, dim):
+        # unit 1 is nearer in squared distance, but both roots round to the
+        # same double, so the tie goes to unit 0 as in np.linalg.norm
+        near = np.zeros((2, dim))
+        near[0, :2] = 0.9495678358060772, 1.1340308317964878
+        near[1, 0] = 1.4790892475650246
+        sq = (near**2).sum(axis=1)
+        assert sq[1] < sq[0] and np.sqrt(sq[0]) == np.sqrt(sq[1])
+        som = SomMap(1, 2, near)
+        zero = np.zeros((1, dim))
+        sched = TrainingSchedule(iterations=1, alpha0=0.5, sigma0=0.5, sigma_final=0.5)
+        self.check([som, som], [zero, zero], [sched, sched])
+        assert train(som, zero, sched).weights[0, 0] == near[0, 0] / 2
+
+    def test_distances_summed_in_numpy_order(self):
+        # 16 components: numpy's pairwise sum keeps unit 0's 15 tiny squares,
+        # so its distance rounds above unit 1's, while a running sum drops
+        # them and ties the two, which would hand the win to unit 0
+        near = np.zeros((2, 16))
+        near[:, 0] = 1.0
+        near[0, 1:] = 2.0**-27
+        d = np.linalg.norm(near, axis=1)
+        assert d[0] > d[1] == 1.0
+        running = sum(near[:, j] ** 2 for j in range(16))
+        assert running[0] == running[1]
+        som = SomMap(1, 2, near)
+        zero = np.zeros((1, 16))
+        sched = TrainingSchedule(iterations=1, alpha0=1.0, sigma0=0.1, sigma_final=0.1)
+        self.check([som, som], [zero, zero], [sched, sched])
+        assert (train(som, zero, sched).weights[1] == 0.0).all()  # unit 1 won
+
+    def test_exactly_equal_distances(self):
+        # every unit at the same distance from every row: ties to unit 0
+        som = SomMap(2, 2, np.zeros((4, 3)))
+        X = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        self.check([som, som.copy()], [X, X[::-1]], [TrainingSchedule(7), TrainingSchedule(5)])
+
+    def test_validation(self):
+        som = init_map(2, 2, 3)
+        sched = TrainingSchedule(iterations=10)
+        with pytest.raises(ValueError):
+            train_maps([som, som], [np.zeros((2, 3))], [sched, sched])
+        with pytest.raises(ValueError):
+            train_maps([som], [np.zeros((0, 3))], [sched])
+        with pytest.raises(ShapeError):
+            train_maps([som], [np.zeros((2, 4))], [sched])
 
 
 class TestQuantizationError:

@@ -35,6 +35,11 @@ MODES = ("replace", "append")
 
 HOLDOUT_FRACTION = 0.22
 
+# Units of one map grid.  The training engine's grid-distance tables grow as
+# the square of the longer side, so a 4096x1 map already takes 128 MiB; the
+# paper's maps are a few units a side.
+MAX_MAP_UNITS = 4096
+
 
 @dataclass
 class ExperimentConfig:
@@ -75,6 +80,11 @@ class ExperimentConfig:
             raise ValueError("knn_k must be >= 1")
         if self.map_rows < 1 or self.map_cols < 1:
             raise ValueError("map grid dimensions must be >= 1")
+        if self.map_rows * self.map_cols > MAX_MAP_UNITS:
+            raise ValueError(
+                f"map grid {self.map_rows}x{self.map_cols} has more than "
+                f"{MAX_MAP_UNITS} units"
+            )
         if self.fisher_dim is not None and self.fisher_dim < 1:
             raise ValueError("fisher_dim must be >= 1")
         if self.folds < 2:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset, require_labels
 from .errors import DataError, ShapeError
@@ -55,6 +54,21 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
+def generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``a v = w b v`` for symmetric ``a`` and positive definite ``b``.
+
+    The Cholesky reduction LAPACK's ``sygvd`` performs: with ``b = L L^T``,
+    ``C = L^-1 a L^-T`` has the same eigenvalues, and ``v = L^-T u`` for each
+    eigenvector ``u`` of ``C``.  Eigenvalues come out ascending and the
+    eigenvectors are ``b``-orthonormal.  Raises ``np.linalg.LinAlgError``
+    when ``b`` is not positive definite.
+    """
+    lower = np.linalg.cholesky(b)
+    c = np.linalg.solve(lower, np.linalg.solve(lower, a).T)
+    evals, evecs = np.linalg.eigh((c + c.T) / 2.0)
+    return evals, np.linalg.solve(lower.T, evecs)
+
+
 def scatter_matrices(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Between-class and within-class scatter of labeled rows."""
     mean = X.mean(axis=0)
@@ -78,6 +92,7 @@ def fit_fisher(data: Dataset, dim: int | None = None) -> FisherProjection:
     not exceed it.  Requires at least two classes and two rows per class.
     The within-class scatter is regularized with a relative ridge before
     inversion because small per-class counts leave it near-singular.
+    Features so large that their scatter overflows float64 are a DataError.
     """
     labels = require_labels(data)
     X = data.X
@@ -93,9 +108,16 @@ def fit_fisher(data: Dataset, dim: int | None = None) -> FisherProjection:
         raise ValueError(f"dim must lie in [1, {n_classes - 1}], got {dim}")
 
     n = data.n
-    mean = X.mean(axis=0)
-    xc = X - mean
-    total_scatter = xc.T @ xc
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        xc = X - mean
+        total_scatter = xc.T @ xc
+        # the rank tolerance and the ridge below scale the trace by up to this
+        headroom = np.trace(total_scatter) * max(n, data.dim)
+    if not (np.isfinite(total_scatter).all() and np.isfinite(headroom)):
+        raise DataError(
+            "feature magnitudes overflow the scatter matrix; rescale the features"
+        )
     evals, evecs = np.linalg.eigh(total_scatter)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
@@ -112,8 +134,8 @@ def fit_fisher(data: Dataset, dim: int | None = None) -> FisherProjection:
     sb, sw = scatter_matrices(z, labels)
     sw_reg = sw + (1e-9 * np.trace(sw) / k) * np.eye(k)
     try:
-        gevals, gevecs = scipy.linalg.eigh(sb, sw_reg)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        _, gevecs = generalized_eigh(sb, sw_reg)
+    except np.linalg.LinAlgError as exc:
         raise DataError(f"within-class scatter is singular: {exc}") from None
     lda = gevecs[:, ::-1][:, :dim]
     lda = lda / np.linalg.norm(lda, axis=0, keepdims=True)

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csomtex
 from csomtex import (
+    Dataset,
     Image,
     load_model,
     load_pgm,
@@ -20,6 +25,9 @@ from csomtex import (
 )
 from csomtex.cli import main, read_manifest
 from csomtex.config import ToolConfig, load_config
+from csomtex.data import dataset_to_csv
+from csomtex.evaluation import MAX_MAP_UNITS
+from helpers import gaussian_blobs
 
 CLASSES = 3
 PER_CLASS = 6
@@ -241,6 +249,18 @@ class TestTrain:
         code, _, err = run(capsys, ["train", str(feats), "-o", str(tmp_path / "m.txt")])
         assert code == 2
         assert "label" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_features_are_data_error(self, tmp_path, capsys):
+        data = gaussian_blobs([10, 10, 10], dim=4)
+        feats = tmp_path / "f.csv"
+        feats.write_text(dataset_to_csv(Dataset(data.X * 1e200, data.labels)))
+        code, _, err = run(capsys, ["train", str(feats), "-o", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert err == (
+            "error: feature magnitudes overflow the scatter matrix; rescale the features\n"
+        )
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestTransform:
@@ -474,10 +494,12 @@ class TestConfigErrors:
             {"evaluate": {"holdout_counts": {"0": 1}}},
             {"texture": {"levels": 257}},
             {"evaluate": {"mode": "holdout", "holdout_counts": {"0": 2, "1": -1}}},
+            {"map": {"rows": MAX_MAP_UNITS + 1, "cols": 1}},
+            {"evaluate": {"columns": [{"pipeline": "raw", "rows": 1, "cols": MAX_MAP_UNITS + 1}]}},
         ],
         ids=["steps_per_sample", "knn_k", "folds", "alpha0", "sigma_final", "fisher_dim",
              "seed", "evaluate_seeds", "holdout_counts_under_cv", "texture_levels",
-             "negative_holdout_count"],
+             "negative_holdout_count", "map_units", "evaluate_column_map_units"],
     )
     def test_bad_setting_fails_before_features_are_read(self, command, setting, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -647,3 +669,39 @@ class TestUsage:
         code, _, err = run(capsys, ["train", str(tmp_path / "nope.csv"),
                                     "-o", str(tmp_path / "m.txt")])
         assert code == 2
+
+
+def _python(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this csomtex."""
+    src = str(Path(csomtex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestNumpyOnlyRuntime:
+    """scipy is a test dependency only: the package must never import it."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        proc = _python("import sys, csomtex, csomtex.cli; print('scipy' in sys.modules)", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_commands_run_with_scipy_unimportable(self, corpus, features_csv, tmp_path):
+        feats, cfg, model = str(features_csv), str(corpus / "config.json"), str(tmp_path / "m")
+        runs = [
+            ["train", feats, "-o", model, "--config", cfg],
+            ["classify", model, feats],
+            ["evaluate", feats, "--config", cfg],
+        ]
+        proc = _python(
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "import csomtex.cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert csomtex.cli.main(argv) == 0, argv\n",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr

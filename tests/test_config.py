@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from csomtex.config import EvalColumn, ToolConfig, config_from_dict
 from csomtex.errors import Error
+from csomtex.evaluation import MAX_MAP_UNITS
 
 SECTION_KEYS = {
     "preprocess": ["crop", "threshold", "rescale"],
@@ -119,6 +120,10 @@ def test_defaults_come_from_the_settings_dataclasses():
         ({"evaluate": {"mode": "holdout", "holdout_counts": {"1": 2, "01": 3}}},
          "names a class id twice"),
         ({"texture": {"levels": 257}}, "texture levels must lie in [2, 256], got 257"),
+        ({"map": {"rows": MAX_MAP_UNITS + 1, "cols": 1}}, f"more than {MAX_MAP_UNITS} units"),
+        ({"map": {"rows": 2},
+          "evaluate": {"columns": [{"pipeline": "raw", "cols": MAX_MAP_UNITS // 2 + 1}]}},
+         f"map grid 2x{MAX_MAP_UNITS // 2 + 1} has more than {MAX_MAP_UNITS} units"),
     ],
 )
 def test_bad_values_are_value_errors(raw, message):

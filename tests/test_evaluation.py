@@ -24,7 +24,7 @@ from csomtex import (
     split_by_class,
 )
 from csomtex import evaluation
-from csomtex.evaluation import run_experiments
+from csomtex.evaluation import MAX_MAP_UNITS, run_experiments
 from csomtex.som import derive_schedule
 from helpers import bits, gaussian_blobs, train_oracle
 
@@ -186,6 +186,13 @@ class TestExperimentConfig:
             ExperimentConfig(alpha0=1.5)
         with pytest.raises(ValueError):
             ExperimentConfig(sigma_final=0.0)
+
+    def test_map_units_are_capped(self):
+        side = int(MAX_MAP_UNITS**0.5)
+        ExperimentConfig(map_rows=side, map_cols=MAX_MAP_UNITS // side)  # at the cap
+        for rows, cols in ((MAX_MAP_UNITS + 1, 1), (1, MAX_MAP_UNITS + 1), (side + 1, side)):
+            with pytest.raises(ValueError, match=f"more than {MAX_MAP_UNITS} units"):
+                ExperimentConfig(map_rows=rows, map_cols=cols)
 
     def test_schedule_defaults(self):
         cfg = ExperimentConfig(map_rows=7, map_cols=3, steps_per_sample=50, seed=11)
@@ -376,3 +383,12 @@ class TestRunExperiment:
         cfg = ExperimentConfig(pipeline="raw", classifier="gnb", folds=2)
         with pytest.raises(DataError, match="fold 0"):
             run_experiment(data, cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_features_name_the_cause(self):
+        data = gaussian_blobs([10, 10, 10], dim=4)
+        cfg = ExperimentConfig(pipeline="csom-replace", map_rows=2, map_cols=2, folds=3)
+        with pytest.raises(
+            DataError, match="^fold 0: feature magnitudes overflow the scatter matrix"
+        ):
+            run_experiment(Dataset(data.X * 1e200, data.labels), cfg)

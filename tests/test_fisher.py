@@ -16,7 +16,7 @@ from csomtex import (
     project,
     project_dataset,
 )
-from csomtex.fisher import scatter_matrices
+from csomtex.fisher import generalized_eigh, scatter_matrices
 from helpers import gaussian_blobs
 
 
@@ -126,6 +126,58 @@ class TestFitFisher:
         data = Dataset(X, np.array([0, 1, 2] * 4))
         with pytest.raises(DataError, match="PCA keeps only"):
             fit_fisher(data, dim=2)
+
+    def test_constant_classes_make_within_scatter_singular(self):
+        # each class is one repeated row: after PCA the within-class scatter,
+        # ridge included, is all zeros
+        X = np.array([[0.0, 0.0]] * 3 + [[1.0, 2.0]] * 3)
+        data = Dataset(X, np.array([0, 0, 0, 1, 1, 1]))
+        with pytest.raises(DataError, match="^within-class scatter is singular"):
+            fit_fisher(data)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e152, 1e154, 1e200, 1e307])
+    def test_overflowing_scatter_is_data_error(self, scale):
+        data = gaussian_blobs([10, 10, 10], dim=4)
+        with pytest.raises(DataError, match="^feature magnitudes overflow the scatter matrix"):
+            fit_fisher(Dataset(data.X * scale, data.labels))
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_scatter_still_fits(self):
+        data = gaussian_blobs([10, 10, 10], dim=4)
+        small = fit_fisher(data)
+        large = fit_fisher(Dataset(data.X * 1e150, data.labels))
+        np.testing.assert_allclose(large.lda_basis, small.lda_basis, atol=1e-12)
+
+
+def _random_spd(rng: np.random.Generator, k: int, cond: float) -> np.ndarray:
+    """A k x k symmetric positive definite matrix with condition number cond."""
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    m = q @ np.diag(np.logspace(0.0, np.log10(cond), k)) @ q.T
+    return (m + m.T) / 2.0
+
+
+class TestGeneralizedEigh:
+    # Both solvers reduce by the Cholesky factor of b, so they agree to
+    # about cond(b) * eps; at cond 1e4 the worst of these draws is 7e-12.
+    @pytest.mark.parametrize("cond", [10.0, 1e4], ids=["well", "ill"])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_scipy(self, k, cond):
+        rng = np.random.default_rng([k, int(cond)])
+        for _ in range(5):
+            a = _random_spd(rng, k, 10.0)
+            b = _random_spd(rng, k, cond)
+            evals, evecs = generalized_eigh(a, b)
+            oracle_evals, oracle_evecs = scipy.linalg.eigh(a, b)
+            np.testing.assert_allclose(evals, oracle_evals, rtol=1e-10)
+            for j in range(k):
+                column, oracle = evecs[:, j : j + 1], oracle_evecs[:, j : j + 1]
+                assert scipy.linalg.subspace_angles(column, oracle).max() <= 1e-8
+            np.testing.assert_allclose(evecs.T @ b @ evecs, np.eye(k), atol=1e-9)
+
+    def test_not_positive_definite_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            generalized_eigh(np.eye(2), np.diag([1.0, -1.0]))
 
 
 class TestProject:

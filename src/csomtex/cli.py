@@ -9,6 +9,7 @@ files behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections import defaultdict
@@ -231,6 +232,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves no state on the parser, so one serves every main()
 def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="JSON config file")

@@ -9,7 +9,16 @@ import numpy as np
 
 from .data import UNLABELED, Dataset, require_labels
 from .errors import DataError, ShapeError
-from .som import SomMap, TrainingSchedule, bmu_indices, derive_schedule, init_map, train
+from .som import (
+    SomMap,
+    TrainingSchedule,
+    bmu_indices,
+    check_finite,
+    derive_schedule,
+    distances,
+    init_map,
+    train,
+)
 
 
 @dataclass(eq=False)
@@ -93,11 +102,9 @@ def _check_dim(model: CsomModel, dim: int) -> None:
 
 def _error_matrix(model: CsomModel, X: np.ndarray) -> np.ndarray:
     """(n, n_classes) matrix of per-map BMU distances."""
-    cols = [
-        np.linalg.norm(X[:, None, :] - som.weights[None, :, :], axis=2).min(axis=1)
-        for _, som in model.entries
-    ]
-    return np.stack(cols, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = [distances(X, som.weights).min(axis=1) for _, som in model.entries]
+    return check_finite(np.stack(cols, axis=1))
 
 
 def classify(model: CsomModel, x) -> tuple[int, np.ndarray]:

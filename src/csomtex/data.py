@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 import stat
 from dataclasses import dataclass
 
@@ -99,8 +100,15 @@ def dataset_to_csv(data: Dataset) -> str:
 
 
 def dataset_from_csv(text: str) -> Dataset:
+    bare_cr = re.search(r"\r(?!\n)", text)
+    if bare_cr:
+        line = text.count("\n", 0, bare_cr.start()) + 1
+        raise FormatError(f"dataset CSV line {line} has a bare carriage return")
     reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r]
+    try:
+        rows = [r for r in reader if r]
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise FormatError(f"dataset CSV line {reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError("dataset CSV is empty")
     header = rows[0]

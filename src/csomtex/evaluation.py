@@ -22,6 +22,7 @@ from .som import (
     SomMap,
     TrainingSchedule,
     append_prototypes,
+    distances,
     init_map,
     replace_with_prototypes,
     train,  # not called here; perfbench's tracer test checks evaluation.train is som.train
@@ -151,37 +152,9 @@ class FittedPipeline:
     ) -> "FittedPipeline":
         """Fit the projection (unless one is given) and the map(s) that
         ``cfg.pipeline`` names on a labeled dataset."""
-        return cls.fit_all([data], cfg, None if fisher is None else [fisher])[0]
-
-    @classmethod
-    def fit_all(
-        cls, splits, cfg: ExperimentConfig, fishers=None
-    ) -> list["FittedPipeline"]:
-        """``fit`` on each labeled split, with ``fishers[i]`` as split i's
-        projection (fitted here when ``fishers`` is None).  The maps of every
-        split train together in one ``train_maps`` call."""
-        splits = list(splits)
-        if fishers is None:
-            fishers = [fit_fisher(split, cfg.fisher_dim) for split in splits]
-        kind, _, mode = cfg.pipeline.partition("-")
-        if kind == "raw":
-            return [cls(fisher) for fisher in fishers]
-        jobs = []  # (split index, class id or None, initial map, its rows, schedule)
-        for i, (split, fisher) in enumerate(zip(splits, fishers)):
-            z = project_dataset(fisher, split)
-            sched = cfg.schedule(z.n)
-            if kind == "csom":
-                jobs += [(i, *job) for job in class_maps(z, cfg.map_rows, cfg.map_cols, sched)]
-            else:
-                som = init_map(cfg.map_rows, cfg.map_cols, z.dim, seed=cfg.seed, data=z)
-                jobs.append((i, None, som, z, sched))
-        trained = train_maps([j[2] for j in jobs], [j[3] for j in jobs], [j[4] for j in jobs])
-        entries = [[] for _ in splits]
-        for (i, cid, *_), som in zip(jobs, trained):
-            entries[i].append((cid, som))
-        if kind == "csom":
-            return [cls(f, csom=CsomModel(e), mode=mode) for f, e in zip(fishers, entries)]
-        return [cls(f, som=e[0][1], mode=mode) for f, e in zip(fishers, entries)]
+        if fisher is None:
+            fisher = fit_fisher(data, cfg.fisher_dim)
+        return fit_pipelines([(data, cfg, fisher)])[0]
 
     def transform(self, data: Dataset, mode: str | None = None) -> Dataset:
         """Project, then replace each row by its winning prototype or append
@@ -194,6 +167,42 @@ class FittedPipeline:
         if self.csom is not None:
             return (transform_replace if replace else transform_append)(self.csom, z)
         return z
+
+
+def fit_pipelines(tasks) -> list[FittedPipeline]:
+    """One pipeline per ``(labeled split, config, projection of that split)``
+    task, as ``FittedPipeline.fit`` would make it.  The maps of every task
+    train together in one ``train_maps`` call, and none is made when no task
+    has a map."""
+    tasks = list(tasks)
+    jobs = []  # (task index, class id or None, initial map, its rows, schedule)
+    for i, (split, cfg, fisher) in enumerate(tasks):
+        kind = cfg.pipeline.partition("-")[0]
+        if kind == "raw":
+            continue
+        z = project_dataset(fisher, split)
+        sched = cfg.schedule(z.n)
+        if kind == "csom":
+            jobs += [(i, *job) for job in class_maps(z, cfg.map_rows, cfg.map_cols, sched)]
+        else:
+            som = init_map(cfg.map_rows, cfg.map_cols, z.dim, seed=cfg.seed, data=z)
+            jobs.append((i, None, som, z, sched))
+    trained = []
+    if jobs:
+        trained = train_maps([j[2] for j in jobs], [j[3] for j in jobs], [j[4] for j in jobs])
+    entries = [[] for _ in tasks]
+    for (i, cid, *_), som in zip(jobs, trained):
+        entries[i].append((cid, som))
+    pipelines = []
+    for (_, cfg, fisher), maps in zip(tasks, entries):
+        kind, _, mode = cfg.pipeline.partition("-")
+        if kind == "raw":
+            pipelines.append(FittedPipeline(fisher))
+        elif kind == "csom":
+            pipelines.append(FittedPipeline(fisher, csom=CsomModel(maps), mode=mode))
+        else:
+            pipelines.append(FittedPipeline(fisher, som=maps[0][1], mode=mode))
+    return pipelines
 
 
 @dataclass(eq=False)
@@ -277,16 +286,48 @@ def knn_predict(train: Dataset, x, k: int = 1) -> int:
 
     Distance ties resolve by lower row index; vote ties by lowest class id.
     """
-    labels = require_labels(train)
-    if train.n == 0:
-        raise ValueError("training set must be non-empty")
-    if not 1 <= k <= train.n:
-        raise ValueError(f"k must lie in [1, {train.n}], got {k}")
+    labels = _check_knn(train, k)
     x = np.asarray(x, dtype=np.float64)
     d = np.linalg.norm(train.X - x, axis=1)
     nearest = np.argsort(d, kind="stable")[:k]
     votes, counts = np.unique(labels[nearest], return_counts=True)
     return int(votes[int(np.argmax(counts))])
+
+
+def _check_knn(train: Dataset, k: int) -> np.ndarray:
+    labels = require_labels(train)
+    if train.n == 0:
+        raise ValueError("training set must be non-empty")
+    if not 1 <= k <= train.n:
+        raise ValueError(f"k must lie in [1, {train.n}], got {k}")
+    return labels
+
+
+# The batched classifiers hold at most this many bytes of per-query
+# temporaries at once: (queries, training rows or classes, components).
+BATCH_BYTES = 1 << 22
+
+
+def _query_chunks(n_queries: int, bytes_per_query: int):
+    step = max(1, BATCH_BYTES // max(1, bytes_per_query))
+    return (slice(lo, lo + step) for lo in range(0, n_queries, step))
+
+
+def knn_predict_batch(train: Dataset, X, k: int = 1) -> np.ndarray:
+    """``knn_predict`` for every row of ``X`` (n, dim): the same distances
+    bit for bit, and the same ties broken the same way."""
+    labels = _check_knn(train, k)
+    X = np.asarray(X, dtype=np.float64)
+    classes, pos = np.unique(labels, return_inverse=True)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for rows in _query_chunks(X.shape[0], 8 * train.n * train.dim):
+        q = X[rows]
+        nearest = np.argsort(distances(q, train.X), axis=1, kind="stable")[:, :k]
+        cells = np.arange(q.shape[0])[:, None] * classes.size + pos[nearest]
+        votes = np.bincount(cells.ravel(), minlength=q.shape[0] * classes.size)
+        # argmax takes the first of tied counts: the lowest class id
+        out[rows] = classes[votes.reshape(q.shape[0], classes.size).argmax(axis=1)]
+    return out
 
 
 @dataclass(eq=False)
@@ -302,6 +343,23 @@ class GaussianNbModel:
             -0.5 * (np.log(2.0 * np.pi * self.variances) + (x - self.means) ** 2 / self.variances)
         ).sum(axis=1)
         return int(self.class_ids[int(np.argmax(ll))])
+
+    def _log_likelihoods(self, X: np.ndarray) -> np.ndarray:
+        """(n, classes) log-likelihoods.  One (n, classes, dim) array summed
+        along its contiguous last axis, so row i is bitwise the one-row sum
+        ``predict`` makes for X[i]."""
+        diff = X[:, None, :] - self.means
+        terms = np.log(2.0 * np.pi * self.variances) + diff**2 / self.variances
+        return self.log_priors + (-0.5 * terms).sum(axis=2)
+
+    def predict_batch(self, X) -> np.ndarray:
+        """``predict`` for every row of ``X`` (n, dim), from the same
+        log-likelihoods bit for bit."""
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty(X.shape[0], dtype=np.int64)
+        for rows in _query_chunks(X.shape[0], 8 * self.means.size):
+            out[rows] = self.class_ids[self._log_likelihoods(X[rows]).argmax(axis=1)]
+        return out
 
 
 def gnb_fit(train: Dataset) -> GaussianNbModel:
@@ -343,6 +401,36 @@ class FoldModels:
         return self.pipeline.som
 
 
+def fit_fold(train_split: Dataset, cfg: ExperimentConfig) -> FoldModels:
+    """Fit Fisher, the configured map(s), and the classifier on one split."""
+    pipeline = FittedPipeline.fit(train_split, cfg)
+    features = pipeline.transform(train_split, cfg.pipeline.partition("-")[2])
+    return FoldModels(pipeline, features, gnb_fit(features) if cfg.classifier == "gnb" else None)
+
+
+def _classify(train_features: Dataset, gnb, X: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    if cfg.classifier == "knn":
+        return knn_predict_batch(train_features, X, cfg.knn_k)
+    return gnb.predict_batch(X)
+
+
+def predict_fold(models: FoldModels, test_split: Dataset, cfg: ExperimentConfig) -> np.ndarray:
+    """Predict test labels; the transform never sees them."""
+    feats = models.pipeline.transform(test_split.without_labels(), cfg.pipeline.partition("-")[2])
+    return _classify(models.train_features, models.gnb, feats.X, cfg)
+
+
+def _score(
+    class_ids: np.ndarray, truth: np.ndarray, preds: np.ndarray, confusion: np.ndarray
+) -> float:
+    np.add.at(confusion, (np.searchsorted(class_ids, truth), np.searchsorted(class_ids, preds)), 1)
+    return float((truth == preds).mean())
+
+
+def _split_key(cfg: ExperimentConfig) -> tuple:
+    return (cfg.eval_mode, cfg.folds, repr(cfg.holdout_counts), cfg.seed)
+
+
 def _fit_keys(cfg: ExperimentConfig) -> tuple:
     """The keys of cfg's projection and of its fitted pipeline among one
     split's fits: fits made under the same settings are shared."""
@@ -353,109 +441,125 @@ def _fit_keys(cfg: ExperimentConfig) -> tuple:
     )
 
 
-def _fit_folds(train_splits: list, cfg: ExperimentConfig, fitted: list) -> None:
-    """Add cfg's projection and pipeline to each split's fits (``fitted[i]``
-    for split i) that lacks them; the maps of all those splits train in one
-    engine call.  A projection that fails is stored in its place and raised
-    by _fit_fold, so a fold loop meets the errors in fold order."""
-    fisher_key, key = _fit_keys(cfg)
-    for split, fits in zip(train_splits, fitted):
-        if fisher_key not in fits:
+def _plan(data: Dataset, cfgs: list) -> tuple[dict, dict]:
+    """Pass 1 of run_experiments: every config's splits and fits.
+
+    Returns the splits by split key and the fits by (split key, fold, fit
+    key).  A split or projection that fails is stored in its place, and the
+    pipelines that still lack maps are fitted last, all their maps in one
+    engine call.
+    """
+    splits = {}
+    fits = {}
+    tasks = []  # (fit index, training split, config, projection)
+    for cfg in cfgs:
+        split_key = _split_key(cfg)
+        if split_key not in splits:
             try:
-                fits[fisher_key] = fit_fisher(split, cfg.fisher_dim)
+                if cfg.eval_mode == "holdout":
+                    splits[split_key] = [holdout_split(data, cfg.holdout_counts, seed=cfg.seed)]
+                else:
+                    splits[split_key] = kfold_split(data, cfg.folds, seed=cfg.seed)
             except (DataError, ValueError) as exc:
-                fits[fisher_key] = exc
-    todo = [
-        i for i, fits in enumerate(fitted)
-        if key not in fits and not isinstance(fits[fisher_key], Exception)
-    ]
-    if todo:
-        pipelines = FittedPipeline.fit_all(
-            [train_splits[i] for i in todo], cfg, [fitted[i][fisher_key] for i in todo]
-        )
-        for i, pipeline in zip(todo, pipelines):
-            fitted[i][key] = pipeline
+                splits[split_key] = exc
+        if isinstance(splits[split_key], Exception):
+            continue
+        fisher_key, key = _fit_keys(cfg)
+        for fold, (train_split, _) in enumerate(splits[split_key]):
+            fisher = fits.get((split_key, fold, fisher_key))
+            if fisher is None:
+                try:
+                    fisher = fit_fisher(train_split, cfg.fisher_dim)
+                except (DataError, ValueError) as exc:
+                    fisher = exc
+                fits[split_key, fold, fisher_key] = fisher
+            if (split_key, fold, key) not in fits and not isinstance(fisher, Exception):
+                fits[split_key, fold, key] = None  # fitted below
+                tasks.append(((split_key, fold, key), train_split, cfg, fisher))
+    pipelines = fit_pipelines(task[1:] for task in tasks)
+    for (index, *_), pipeline in zip(tasks, pipelines):
+        fits[index] = pipeline
+    return splits, fits
 
 
-def _fit_fold(train_split: Dataset, cfg: ExperimentConfig, fitted: dict) -> FoldModels:
-    """fit_fold from this split's fits (see _fit_folds)."""
-    fisher_key, key = _fit_keys(cfg)
-    if isinstance(fitted[fisher_key], Exception):
-        raise fitted[fisher_key]
-    features = fitted[key].transform(train_split, cfg.pipeline.partition("-")[2])
-    return FoldModels(fitted[key], features, gnb_fit(features) if cfg.classifier == "gnb" else None)
-
-
-def fit_fold(train_split: Dataset, cfg: ExperimentConfig) -> FoldModels:
-    """Fit Fisher, the configured map(s), and the classifier on one split."""
-    fitted = {}
-    _fit_folds([train_split], cfg, [fitted])
-    return _fit_fold(train_split, cfg, fitted)
-
-
-def predict_fold(models: FoldModels, test_split: Dataset, cfg: ExperimentConfig) -> np.ndarray:
-    """Predict test labels; the transform never sees them."""
-    feats = models.pipeline.transform(test_split.without_labels(), cfg.pipeline.partition("-")[2])
-    if cfg.classifier == "knn":
-        return np.array(
-            [knn_predict(models.train_features, x, cfg.knn_k) for x in feats.X],
-            dtype=np.int64,
-        )
-    return np.array([models.gnb.predict(x) for x in feats.X], dtype=np.int64)
-
-
-def _score(
-    class_ids: np.ndarray, truth: np.ndarray, preds: np.ndarray, confusion: np.ndarray
-) -> float:
-    pos = {int(c): i for i, c in enumerate(class_ids)}
-    for t, p in zip(truth, preds):
-        confusion[pos[int(t)], pos[int(p)]] += 1
-    return float((truth == preds).mean())
+def _fold_error(fold: int, exc: Exception) -> DataError:
+    err = DataError(f"fold {fold}: {exc}")
+    err.__cause__ = exc
+    return err
 
 
 def run_experiments(data: Dataset, cfgs) -> list[EvaluationReport]:
     """Evaluate several pipeline/classifier configurations on one dataset.
 
     Configurations with the same split settings and seed share their splits.
-    On each fold the projection is fitted once per ``fisher_dim`` and the maps
-    once per map kind, grid and schedule, the maps of all folds of a
-    configuration in one engine call; every transform mode and classifier
-    is scored from those fits.  The reports, and the first error raised, are
-    those of running each configuration alone, in order.
+    The first pass fits the projection once per split and ``fisher_dim`` and
+    the maps once per split, map kind, grid and schedule, every map of the
+    run in one engine call.  The second pass scores together the
+    configurations that share splits, a fit and a transform mode, fold by
+    fold: each fold's training and test rows are transformed once for all
+    of them, and each classifier scores all of a fold's test rows at once.
+    A configuration stops at its first failing fold.  The reports, and the
+    first error raised, are those of running each configuration alone, in
+    order.
     """
     require_labels(data)
+    cfgs = list(cfgs)
     class_ids = data.class_ids
-    splits_by_key = {}
-    fitted = {}  # (split key, fold) -> the fits made on that training split
-    reports = []
-    for cfg in cfgs:
-        split_key = (cfg.eval_mode, cfg.folds, repr(cfg.holdout_counts), cfg.seed)
-        if split_key not in splits_by_key:
-            if cfg.eval_mode == "holdout":
-                splits_by_key[split_key] = [holdout_split(data, cfg.holdout_counts, seed=cfg.seed)]
-            else:
-                splits_by_key[split_key] = kfold_split(data, cfg.folds, seed=cfg.seed)
-        splits = splits_by_key[split_key]
-        fits = [fitted.setdefault((split_key, i), {}) for i in range(len(splits))]
-        _fit_folds([train_split for train_split, _ in splits], cfg, fits)
-        confusion = np.zeros((class_ids.size, class_ids.size), dtype=np.int64)
-        accuracies = []
-        for fold_i, (train_split, test_split) in enumerate(splits):
+    splits, fits = _plan(data, cfgs)
+    failed = [None] * len(cfgs)  # the error each configuration raises, if any
+    accuracies = [[] for _ in cfgs]
+    confusions = [np.zeros((class_ids.size, class_ids.size), dtype=np.int64) for _ in cfgs]
+    groups = {}  # (split key, fit keys, mode) -> indices of the configs scored together
+    for i, cfg in enumerate(cfgs):
+        split_key = _split_key(cfg)
+        if isinstance(splits[split_key], Exception):
+            failed[i] = splits[split_key]
+        else:
+            mode = cfg.pipeline.partition("-")[2]
+            groups.setdefault((split_key, _fit_keys(cfg), mode), []).append(i)
+    for (split_key, (fisher_key, key), mode), members in groups.items():
+        for fold, (train_split, test_split) in enumerate(splits[split_key]):
+            live = [i for i in members if failed[i] is None]
+            if not live:
+                break
             if test_split.n == 0:
-                raise DataError(f"fold {fold_i} has an empty test split")
+                for i in live:
+                    failed[i] = DataError(f"fold {fold} has an empty test split")
+                continue
+            # the steps of one fold in a lone run's order: projection,
+            # training features, GNB fit, test features, prediction
             try:
-                models = _fit_fold(train_split, cfg, fits[fold_i])
-                preds = predict_fold(models, test_split, cfg)
+                if isinstance(fits[split_key, fold, fisher_key], Exception):
+                    raise fits[split_key, fold, fisher_key]
+                pipeline = fits[split_key, fold, key]
+                train_feats = pipeline.transform(train_split, mode)
             except (DataError, ValueError) as exc:
-                raise DataError(f"fold {fold_i}: {exc}") from exc
-            accuracies.append(_score(class_ids, test_split.labels, preds, confusion))
+                for i in live:
+                    failed[i] = _fold_error(fold, exc)
+                continue
+            gnb = test_feats = None
+            for i in live:
+                try:
+                    if cfgs[i].classifier == "gnb" and gnb is None:
+                        gnb = gnb_fit(train_feats)
+                    if test_feats is None:
+                        test_feats = pipeline.transform(test_split.without_labels(), mode)
+                    preds = _classify(train_feats, gnb, test_feats.X, cfgs[i])
+                except (DataError, ValueError) as exc:
+                    failed[i] = _fold_error(fold, exc)
+                    continue
+                accuracies[i].append(_score(class_ids, test_split.labels, preds, confusions[i]))
+    reports = []
+    for cfg, error, fold_accuracies, confusion in zip(cfgs, failed, accuracies, confusions):
+        if error is not None:
+            raise error
         reports.append(
             EvaluationReport(
                 pipeline=cfg.pipeline,
                 classifier=cfg.classifier,
                 eval_mode=cfg.eval_mode,
                 class_ids=class_ids,
-                fold_accuracies=accuracies,
+                fold_accuracies=fold_accuracies,
                 confusion=confusion,
                 config=asdict(cfg),
             )

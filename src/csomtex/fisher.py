@@ -143,20 +143,29 @@ def fit_fisher(data: Dataset, dim: int | None = None) -> FisherProjection:
     return FisherProjection(mean, pca, lda)
 
 
+def _apply(proj: FisherProjection, X: np.ndarray) -> np.ndarray:
+    """lda^T pca^T (x - mean) of a vector or of each row; features so large
+    that the projection overflows are a DataError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (X - proj.mean) @ proj.pca_basis @ proj.lda_basis
+    if not np.isfinite(z).all():
+        raise DataError("feature magnitudes overflow the projection; rescale the features")
+    return z
+
+
 def project(proj: FisherProjection, x) -> np.ndarray:
     """Project a single vector: lda^T pca^T (x - mean)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (proj.input_dim,):
         raise ShapeError(f"vector dimension {x.shape} != expected ({proj.input_dim},)")
-    return (x - proj.mean) @ proj.pca_basis @ proj.lda_basis
+    return _apply(proj, x)
 
 
 def project_dataset(proj: FisherProjection, data: Dataset) -> Dataset:
     """Project every row; labels pass through unchanged."""
     if data.dim != proj.input_dim:
         raise ShapeError(f"dataset dimension {data.dim} != expected {proj.input_dim}")
-    z = (data.X - proj.mean) @ proj.pca_basis @ proj.lda_basis
-    return Dataset(z, None if data.labels is None else data.labels.copy())
+    return Dataset(_apply(proj, data.X), None if data.labels is None else data.labels.copy())
 
 
 def fisher_criteria(proj: FisherProjection, data: Dataset) -> np.ndarray:

@@ -116,10 +116,11 @@ def _read_matrix(reader: _Lines, name: str) -> np.ndarray:
         raise FormatError(f"bad matrix header {header!r}") from exc
     if rows < 1 or cols < 1:
         raise FormatError(f"matrix {name} must have positive shape, got {rows}x{cols}")
-    data = np.empty((rows, cols), dtype=np.float64)
-    for r in range(rows):
-        data[r] = _parse_floats(reader.take(), cols, f"matrix {name} row {r}")
-    return data
+    # one row a line, each parsed before it is stored: a declared size the
+    # file does not hold fails on its lines, not on an allocation
+    return np.array(
+        [_parse_floats(reader.take(), cols, f"matrix {name} row {r}") for r in range(rows)]
+    )
 
 
 def _read_keyword(reader: _Lines, key: str) -> str:
@@ -200,10 +201,10 @@ def parse_model(text: str) -> FittedPipeline:
         if rows < 1 or cols < 1:
             raise FormatError(f"som grid must be positive, got {rows}x{cols}")
         dim = lda.shape[1]
-        weights = np.empty((rows * cols, dim), dtype=np.float64)
-        for u in range(rows * cols):
-            weights[u] = _parse_floats(reader.take(), dim, f"som {tag} unit {u}")
-        entries.append((tag, SomMap(rows, cols, weights)))
+        weights = [
+            _parse_floats(reader.take(), dim, f"som {tag} unit {u}") for u in range(rows * cols)
+        ]
+        entries.append((tag, SomMap(rows, cols, np.array(weights))))
     if not entries:
         raise FormatError("model file has no map sections")
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 
 
 @dataclass(eq=False)
@@ -121,13 +121,31 @@ def bmu(som: SomMap, x) -> tuple[int, float]:
     return winner, float(d[winner])
 
 
+def distances(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(n, m) Euclidean distances from each row of X to each row of W.  Each
+    sums its squares along the contiguous component axis, so row i is
+    bitwise ``np.linalg.norm(W - X[i], axis=1)``.  Rows far enough from a
+    map overflow them: compute map distances under
+    ``np.errstate(over="ignore", invalid="ignore")`` and pass what is used
+    through ``check_finite``."""
+    return np.linalg.norm(X[:, None, :] - W[None, :, :], axis=2)
+
+
+def check_finite(d: np.ndarray) -> np.ndarray:
+    """``d`` itself, unless a map distance in it overflowed (a DataError)."""
+    if not np.isfinite(d).all():
+        raise DataError("feature magnitudes overflow the map distances; rescale the features")
+    return d
+
+
 def bmu_indices(som: SomMap, X: np.ndarray) -> np.ndarray:
     """Vectorized BMU lookup for a batch of row vectors."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != som.dim:
         raise ShapeError(f"batch shape {X.shape} incompatible with map dim {som.dim}")
-    d = np.linalg.norm(X[:, None, :] - som.weights[None, :, :], axis=2)
-    return np.argmin(d, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = distances(X, som.weights)
+    return np.argmin(check_finite(d), axis=1)
 
 
 def neighborhood(som: SomMap, winner: int, unit: int, sigma: float) -> float:
@@ -270,8 +288,7 @@ def quantization_error(som: SomMap, data) -> float:
         raise ValueError("data must be non-empty")
     if X.ndim != 2 or X.shape[1] != som.dim:
         raise ShapeError(f"data shape {X.shape} incompatible with map dim {som.dim}")
-    d = np.linalg.norm(X[:, None, :] - som.weights[None, :, :], axis=2)
-    return float(d.min(axis=1).mean())
+    return float(distances(X, som.weights).min(axis=1).mean())
 
 
 def replace_with_prototypes(som: SomMap, data: Dataset) -> Dataset:

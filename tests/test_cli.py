@@ -381,6 +381,65 @@ class TestClassify:
         assert "checksum" in err
 
 
+class TestHugeFeatures:
+    """Features far larger than the training data overflow the projection or
+    the map distances: a data error, never a RuntimeWarning or a guess."""
+
+    @pytest.fixture
+    def huge_csv(self, features_csv, tmp_path):
+        data = csomtex.read_dataset(features_csv)
+        out = tmp_path / "huge.csv"
+        out.write_text(dataset_to_csv(Dataset(data.X * 1e200, data.labels)))
+        return out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify"], ["classify", "--errors"], ["transform"], ["transform", "--mode", "append"]],
+        ids=["classify", "classify_errors", "transform", "transform_append"],
+    )
+    def test_file(self, model_file, huge_csv, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, stdout, err = run(
+            capsys, argv[:1] + [str(model_file), str(huge_csv), "-o", str(out)] + argv[1:]
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            "error: feature magnitudes overflow the map distances; rescale the features\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scale, cause", [(1e300, "map distances"), (1.7e308, "projection")]
+    )
+    def test_vector(self, features_csv, model_file, scale, cause, capsys):
+        dim = len(features_csv.read_text().splitlines()[0].split(",")) - 1
+        vec = ",".join([repr(scale)] * dim)
+        code, out, err = run(capsys, ["classify", str(model_file), "--vector", vec])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: feature magnitudes overflow the {cause}; rescale the features\n"
+
+
+class TestBareCarriageReturn:
+    @pytest.mark.parametrize("command", ["classify", "transform", "evaluate", "train"])
+    def test_is_data_error(self, model_file, command, tmp_path, capsys):
+        feats = tmp_path / "cr.csv"
+        feats.write_bytes(b"f0,f1,label\n0,1,0\n1\r2,3,0\n")
+        argv = {
+            "classify": ["classify", str(model_file), str(feats)],
+            "transform": ["transform", str(model_file), str(feats)],
+            "evaluate": ["evaluate", str(feats)],
+            "train": ["train", str(feats), "-o", str(tmp_path / "m.txt")],
+        }[command]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: dataset CSV line 3 has a bare carriage return\n"
+
+
 class TestEvaluate:
     def test_table_and_csv(self, corpus, features_csv, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -669,6 +728,25 @@ class TestUsage:
         code, _, err = run(capsys, ["train", str(tmp_path / "nope.csv"),
                                     "-o", str(tmp_path / "m.txt")])
         assert code == 2
+
+    def test_repeated_calls_match_a_fresh_process(
+        self, features_csv, model_file, tmp_path, capsys, monkeypatch
+    ):
+        # main() builds its parser once per process; every call must still
+        # behave as the first call of a fresh process does
+        monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+        calls = [
+            ["train"],
+            ["--version"],
+            ["classify", str(model_file), str(features_csv), "--errors"],
+            ["classify", str(model_file), "--jobs", "2"],
+            ["--version"],
+            ["classify", str(model_file), str(features_csv), "--errors"],
+        ]
+        for argv in calls:
+            code = f"import sys, csomtex.cli\nsys.exit(csomtex.cli.main({argv!r}))"
+            proc = _python(code, tmp_path)
+            assert run(capsys, argv) == (proc.returncode, proc.stdout, proc.stderr)
 
 
 def _python(code: str, cwd) -> subprocess.CompletedProcess:

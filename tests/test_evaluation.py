@@ -25,7 +25,7 @@ from csomtex import (
 )
 from csomtex import evaluation
 from csomtex.evaluation import MAX_MAP_UNITS, run_experiments
-from csomtex.som import derive_schedule
+from csomtex.som import derive_schedule, distances
 from helpers import bits, gaussian_blobs, train_oracle
 
 
@@ -123,6 +123,102 @@ class TestKnn:
             knn_predict(train, [0.0], k=0)
         with pytest.raises(DataError):
             knn_predict(train.without_labels(), [0.0])
+
+
+DIMS = (1, 2, 7, 8, 9, 16, 48)
+
+
+def _tie_heavy(rng, n, dim, n_classes):
+    """Small-integer rows (so distances tie exactly), every third row
+    duplicated under another label."""
+    X = rng.integers(0, 3, size=(n, dim)).astype(np.float64)
+    labels = rng.integers(0, n_classes, size=n)
+    X = np.vstack([X, X[::3]])
+    labels = np.concatenate([labels, (labels[::3] + 1) % n_classes])
+    return Dataset(X, 2 * labels + 3)  # class ids 3, 5, 7, ...
+
+
+class TestBatchedClassifiers:
+    """knn_predict_batch and GaussianNbModel.predict_batch against the
+    one-query calls, which stay the reference."""
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_knn_matches_one_query_calls(self, dim):
+        rng = np.random.default_rng(dim)
+        for train in (_tie_heavy(rng, 30, dim, 4), gaussian_blobs([9, 7, 8], dim=dim, seed=dim)):
+            queries = np.vstack([
+                train.X[:10],  # zero distance to a row and to its duplicates
+                rng.integers(0, 3, size=(20, dim)).astype(np.float64),
+                rng.normal(size=(20, dim)),
+            ])
+            want_d = [np.linalg.norm(train.X - q, axis=1) for q in queries]
+            np.testing.assert_array_equal(
+                bits(distances(queries, train.X)), bits(np.array(want_d))
+            )
+            for k in range(1, 6):
+                want = [knn_predict(train, q, k) for q in queries]
+                got = evaluation.knn_predict_batch(train, queries, k)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+
+    def test_knn_ties(self):
+        # distance ties go to the lower row, vote ties to the lowest class id
+        train = Dataset(np.array([[0.0], [2.0], [2.0], [0.0]]), np.array([5, 3, 9, 1]))
+        got = evaluation.knn_predict_batch(train, np.array([[1.0], [1.0], [2.0]]), 1)
+        np.testing.assert_array_equal(got, [5, 5, 3])
+        got = evaluation.knn_predict_batch(train, np.array([[1.0], [3.0]]), 2)
+        np.testing.assert_array_equal(got, [3, 3])
+        got = evaluation.knn_predict_batch(train, np.array([[1.0]]), 4)
+        np.testing.assert_array_equal(got, [1])
+
+    def test_queries_span_several_chunks(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        train = _tie_heavy(rng, 40, 9, 3)
+        gnb = gnb_fit(gaussian_blobs([6, 5, 7], dim=9, seed=2))
+        queries = rng.integers(0, 3, size=(101, 9)).astype(np.float64)
+        want_knn = [knn_predict(train, q, 3) for q in queries]
+        want_gnb = [gnb.predict(q) for q in queries]
+        # 7 queries a chunk, then one query a chunk
+        for limit in (7 * 8 * train.n * train.dim, 1):
+            monkeypatch.setattr(evaluation, "BATCH_BYTES", limit)
+            np.testing.assert_array_equal(
+                evaluation.knn_predict_batch(train, queries, 3), want_knn
+            )
+            np.testing.assert_array_equal(gnb.predict_batch(queries), want_gnb)
+
+    def test_knn_validation(self):
+        train = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]))
+        for k in (0, 3):
+            with pytest.raises(ValueError, match=rf"^k must lie in \[1, 2\], got {k}$"):
+                evaluation.knn_predict_batch(train, np.zeros((4, 1)), k)
+        with pytest.raises(DataError):
+            evaluation.knn_predict_batch(train.without_labels(), np.zeros((4, 1)))
+        assert evaluation.knn_predict_batch(train, np.zeros((0, 1))).shape == (0,)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_gnb_matches_one_row_calls(self, dim):
+        rng = np.random.default_rng(dim)
+        train = gaussian_blobs([9, 7, 8, 6], dim=dim, separation=1.5, seed=dim)
+        gnb = gnb_fit(train)
+        queries = np.vstack([train.X, rng.normal(0.0, 3.0, size=(40, dim))])
+        want_ll = [
+            gnb.log_priors + (
+                -0.5 * (np.log(2.0 * np.pi * gnb.variances) + (q - gnb.means) ** 2 / gnb.variances)
+            ).sum(axis=1)
+            for q in queries
+        ]  # the sum GaussianNbModel.predict makes
+        np.testing.assert_array_equal(
+            bits(gnb._log_likelihoods(queries)), bits(np.array(want_ll))
+        )
+        got = gnb.predict_batch(queries)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, [gnb.predict(q) for q in queries])
+
+    def test_gnb_tie_goes_to_the_lowest_class(self):
+        train = Dataset(np.array([[-2.0], [-1.0], [1.0], [2.0]]), np.array([4, 4, 2, 2]))
+        gnb = gnb_fit(train)
+        np.testing.assert_array_equal(gnb.predict_batch(np.array([[0.0], [-3.0]])), [2, 4])
+        assert gnb.predict([0.0]) == 2
 
 
 class TestGaussianNb:
@@ -246,33 +342,37 @@ class TestFittedPipeline:
         assert per_class.csom.n_classes == 3 and per_class.mode == "replace"
 
     def test_maps_match_the_reference_loop(self):
-        # fit_all trains every map of every split in one engine call; each
-        # map is bitwise the one-map reference loop's, and fit's
+        # fit_pipelines trains every map of every split and config in one
+        # engine call; each map is bitwise the one-map reference loop's,
+        # and fit's
         data = gaussian_blobs([9, 6, 4], dim=5, seed=8)
         splits = [train_split for train_split, _ in kfold_split(data, 3, seed=1)]
-        for pipeline in ("csom-replace", "som-append"):
-            cfg = ExperimentConfig(
+        cfgs = [
+            ExperimentConfig(
                 pipeline=pipeline, map_rows=2, map_cols=3, steps_per_sample=15,
                 alpha_final=0.0, seed=4,
             )
-            for split, fitted in zip(splits, FittedPipeline.fit_all(splits, cfg)):
-                alone = FittedPipeline.fit(split, cfg)
-                z = project_dataset(fitted.fisher, split)
-                sched = cfg.schedule(z.n)
-                if fitted.single_som:
-                    init = init_map(2, 3, z.dim, seed=cfg.seed, data=z)
-                    cases = [(fitted.som, alone.som, train_oracle(init, z, sched))]
-                else:
-                    cases = []
-                    for (cid, som), (_, som_alone), (_, sub) in zip(
-                        fitted.csom.entries, alone.csom.entries, split_by_class(z)
-                    ):
-                        share = derive_schedule(sched, round(sched.iterations * sub.n / z.n))
-                        init = init_map(2, 3, z.dim, seed=cfg.seed + cid, data=sub)
-                        cases.append((som, som_alone, train_oracle(init, sub, share)))
-                for som, som_alone, expect in cases:
-                    np.testing.assert_array_equal(bits(som.weights), bits(expect))
-                    np.testing.assert_array_equal(bits(som_alone.weights), bits(expect))
+            for pipeline in ("csom-replace", "som-append")
+        ]
+        tasks = [(s, cfg, evaluation.fit_fisher(s)) for cfg in cfgs for s in splits]
+        for (split, cfg, _), fitted in zip(tasks, evaluation.fit_pipelines(tasks)):
+            alone = FittedPipeline.fit(split, cfg)
+            z = project_dataset(fitted.fisher, split)
+            sched = cfg.schedule(z.n)
+            if fitted.single_som:
+                init = init_map(2, 3, z.dim, seed=cfg.seed, data=z)
+                cases = [(fitted.som, alone.som, train_oracle(init, z, sched))]
+            else:
+                cases = []
+                for (cid, som), (_, som_alone), (_, sub) in zip(
+                    fitted.csom.entries, alone.csom.entries, split_by_class(z)
+                ):
+                    share = derive_schedule(sched, round(sched.iterations * sub.n / z.n))
+                    init = init_map(2, 3, z.dim, seed=cfg.seed + cid, data=sub)
+                    cases.append((som, som_alone, train_oracle(init, sub, share)))
+            for som, som_alone, expect in cases:
+                np.testing.assert_array_equal(bits(som.weights), bits(expect))
+                np.testing.assert_array_equal(bits(som_alone.weights), bits(expect))
 
 
 class TestRunExperiments:
@@ -315,13 +415,53 @@ class TestRunExperiments:
         monkeypatch.setattr(evaluation, "fit_fisher", counted_fisher)
         monkeypatch.setattr(evaluation, "train_maps", counted_engine)
         run_experiments(data, self._grid())
-        # 2 seeds x 3 folds: one projection each.  Per seed, one engine call
-        # trains the pooled map of each fold and one the 3 class maps of
-        # each fold, shared by both modes and both classifiers.
+        # 2 seeds x 3 folds: one projection each.  One engine call trains
+        # every map of the run: per seed and fold the pooled map and the 3
+        # class maps, shared by both modes and both classifiers.
         assert len(fishers) == 6
-        assert [len(maps) for maps in engine_calls] == [3, 3, 9, 9]
+        assert [len(maps) for maps in engine_calls] == [24]
         every_map = [m for maps in engine_calls for m in maps]
         assert len(set(every_map)) == len(every_map) == 24
+
+    def test_raw_grid_trains_no_map(self, monkeypatch):
+        data = gaussian_blobs([9, 8, 7], dim=4, seed=6)
+        calls = []
+        monkeypatch.setattr(evaluation, "train_maps", lambda *a: calls.append(a))
+        cfgs = [ExperimentConfig(pipeline="raw", classifier=c, folds=3) for c in ("knn", "gnb")]
+        run_experiments(data, cfgs)
+        assert calls == []
+
+    def test_first_error_precedes_a_later_split_error(self):
+        # the second config's splits cannot be made (3 folds of 2 rows, or
+        # a holdout class the data lacks), but the first config fails first
+        data = gaussian_blobs([5, 5], dim=3, seed=1)
+        bad_k = ExperimentConfig(pipeline="som-replace", knn_k=9, folds=2, map_rows=2, map_cols=2)
+        later = [
+            ExperimentConfig(pipeline="csom-replace", folds=11, map_rows=2, map_cols=2),
+            ExperimentConfig(pipeline="raw", eval_mode="holdout", holdout_counts={4: 1}),
+        ]
+        for cfg in later:
+            with pytest.raises(DataError, match=r"^fold 0: k must lie in \[1, 5\], got 9$"):
+                run_experiments(data, [bad_k, cfg])
+        with pytest.raises(ValueError, match="^cannot make 11 folds from 10 rows$"):
+            run_experiments(data, [later[0], bad_k])
+        with pytest.raises(DataError, match=r"absent from the data$"):
+            run_experiments(data, [later[1], bad_k])
+
+    def test_first_error_follows_config_order(self):
+        # the two raw configs share their transforms and are scored before
+        # the som one, yet the error raised is the som config's: it comes
+        # first in config order
+        data = gaussian_blobs([5, 5], dim=3, seed=1)
+        cfgs = [
+            ExperimentConfig(pipeline="raw", classifier="gnb", folds=2),
+            ExperimentConfig(pipeline="som-replace", knn_k=7, folds=2, map_rows=2, map_cols=2),
+            ExperimentConfig(pipeline="raw", knn_k=6, folds=2),
+        ]
+        with pytest.raises(DataError, match=r"^fold 0: k must lie in \[1, 5\], got 7$"):
+            run_experiments(data, cfgs)
+        with pytest.raises(DataError, match=r"^fold 0: k must lie in \[1, 5\], got 6$"):
+            run_experiments(data, cfgs[::-1])
 
     def test_first_error_is_the_sequential_one(self):
         # 2 folds: fold 0 fails in its k-NN predictions (k = 5 > its 4

@@ -269,7 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="winner-take-all class labels")
     p.add_argument("model", help="model file from train")
     p.add_argument("features", nargs="?", help="features CSV")
-    p.add_argument("--vector", help="classify one comma-separated raw feature vector")
+    p.add_argument(
+        "--vector",
+        help="classify one comma-separated raw feature vector; write --vector=-1.5,0.2,... "
+        "when the first component is negative, or it is taken for an option",
+    )
     p.add_argument("-o", "--output", help="output CSV (default: stdout)")
     p.add_argument("--errors", action="store_true", help="include per-class map errors")
     p.set_defaults(func=cmd_classify)

@@ -225,13 +225,13 @@ def kfold_split(data: Dataset, k: int, seed: int = 0) -> list[tuple[Dataset, Dat
 
     The deal position carries over between classes so every fold receives a
     test share whenever k <= n.  Test folds are disjoint and union to the
-    whole dataset.
+    whole dataset.  More folds than rows is a DataError.
     """
     labels = require_labels(data)
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > data.n:
-        raise ValueError(f"cannot make {k} folds from {data.n} rows")
+        raise DataError(f"cannot make {k} folds from {data.n} rows")
     rng = np.random.default_rng(seed)
     fold_of = np.empty(data.n, dtype=np.int64)
     start = 0
@@ -254,8 +254,9 @@ def holdout_split(
 ) -> tuple[Dataset, Dataset]:
     """Per-class holdout: reserve ``counts[class]`` rows of each class for
     testing (default: 22% of the class, at least one row).  A class the
-    counts leave out keeps all its rows for training; one they name that
-    the data lacks is a DataError."""
+    counts leave out keeps all its rows for training.  A class they name
+    that the data lacks, or a count that leaves a class no training row, is
+    a DataError."""
     labels = require_labels(data)
     absent = sorted(set(counts or ()) - set(np.unique(labels).tolist()))
     if absent:
@@ -268,8 +269,10 @@ def holdout_split(
             want = int(counts.get(int(cid), 0))
         else:
             want = max(1, round(HOLDOUT_FRACTION * idx.size))
-        if want < 0 or want >= idx.size:
-            raise ValueError(
+        if want < 0:
+            raise ValueError(f"holdout count {want} for class {cid} must be >= 0")
+        if want >= idx.size:
+            raise DataError(
                 f"holdout count {want} for class {cid} must leave at least one "
                 f"training row of {idx.size}"
             )
@@ -427,144 +430,114 @@ def _score(
     return float((truth == preds).mean())
 
 
+def _shared(store: dict, key: tuple, make, *args):
+    """``make(*args)``, made once per run under ``key`` in ``store``.  A step
+    that fails stores its error, raised again to every config that reaches
+    it."""
+    if key not in store:
+        try:
+            store[key] = make(*args)
+        except (DataError, ValueError) as exc:
+            store[key] = exc
+    if isinstance(store[key], Exception):
+        raise store[key]
+    return store[key]
+
+
+def _splits(data: Dataset, cfg: ExperimentConfig) -> list:
+    if cfg.eval_mode == "holdout":
+        return [holdout_split(data, cfg.holdout_counts, seed=cfg.seed)]
+    return kfold_split(data, cfg.folds, seed=cfg.seed)
+
+
 def _split_key(cfg: ExperimentConfig) -> tuple:
-    return (cfg.eval_mode, cfg.folds, repr(cfg.holdout_counts), cfg.seed)
+    return ("split", cfg.eval_mode, cfg.folds, repr(cfg.holdout_counts), cfg.seed)
 
 
-def _fit_keys(cfg: ExperimentConfig) -> tuple:
-    """The keys of cfg's projection and of its fitted pipeline among one
-    split's fits: fits made under the same settings are shared."""
+def _fit_key(cfg: ExperimentConfig) -> tuple:
+    """The settings each fold's pipeline is fitted under; the first names
+    the projection.  Configs that agree on them share the fits."""
     kind = cfg.pipeline.partition("-")[0]
-    return (
-        ("fisher", cfg.fisher_dim),
-        (kind, cfg.fisher_dim, cfg.map_rows, cfg.map_cols, repr(cfg.schedule(1))),
+    fisher = (_split_key(cfg), cfg.fisher_dim)
+    return (fisher, kind, cfg.map_rows, cfg.map_cols, repr(cfg.schedule(1)))
+
+
+def _projection(store: dict, fit: tuple, fold: int, train_split: Dataset, cfg: ExperimentConfig):
+    return _shared(store, ("fisher", fit[0], fold), fit_fisher, train_split, cfg.fisher_dim)
+
+
+def _evaluate(
+    store: dict, data: Dataset, class_ids: np.ndarray, cfg: ExperimentConfig
+) -> EvaluationReport:
+    """Score ``cfg`` alone, fold by fold, from the fits in ``store``, sharing
+    each fold's features and GNB model with the configs scored before it.
+    Raises at the first failing fold."""
+    confusion = np.zeros((class_ids.size, class_ids.size), dtype=np.int64)
+    accuracies = []
+    fit = _fit_key(cfg)
+    mode = cfg.pipeline.partition("-")[2]
+    splits = _shared(store, _split_key(cfg), _splits, data, cfg)
+    for fold, (train_split, test_split) in enumerate(splits):
+        if test_split.n == 0:
+            raise DataError(f"fold {fold} has an empty test split")
+        step = (fit, fold, mode)
+        # a lone run's steps: projection, training features, GNB fit, test
+        # features, prediction
+        try:
+            _projection(store, fit, fold, train_split, cfg)
+            pipeline = store["fit", fit, fold]
+            train_feats = _shared(store, ("train", *step), pipeline.transform, train_split, mode)
+            gnb = None
+            if cfg.classifier == "gnb":
+                gnb = _shared(store, ("gnb", *step), gnb_fit, train_feats)
+            test_feats = _shared(
+                store, ("test", *step), pipeline.transform, test_split.without_labels(), mode
+            )
+            preds = _classify(train_feats, gnb, test_feats.X, cfg)
+        except (DataError, ValueError) as exc:
+            raise DataError(f"fold {fold}: {exc}") from exc
+        accuracies.append(_score(class_ids, test_split.labels, preds, confusion))
+    return EvaluationReport(
+        pipeline=cfg.pipeline,
+        classifier=cfg.classifier,
+        eval_mode=cfg.eval_mode,
+        class_ids=class_ids,
+        fold_accuracies=accuracies,
+        confusion=confusion,
+        config=asdict(cfg),
     )
-
-
-def _plan(data: Dataset, cfgs: list) -> tuple[dict, dict]:
-    """Pass 1 of run_experiments: every config's splits and fits.
-
-    Returns the splits by split key and the fits by (split key, fold, fit
-    key).  A split or projection that fails is stored in its place, and the
-    pipelines that still lack maps are fitted last, all their maps in one
-    engine call.
-    """
-    splits = {}
-    fits = {}
-    tasks = []  # (fit index, training split, config, projection)
-    for cfg in cfgs:
-        split_key = _split_key(cfg)
-        if split_key not in splits:
-            try:
-                if cfg.eval_mode == "holdout":
-                    splits[split_key] = [holdout_split(data, cfg.holdout_counts, seed=cfg.seed)]
-                else:
-                    splits[split_key] = kfold_split(data, cfg.folds, seed=cfg.seed)
-            except (DataError, ValueError) as exc:
-                splits[split_key] = exc
-        if isinstance(splits[split_key], Exception):
-            continue
-        fisher_key, key = _fit_keys(cfg)
-        for fold, (train_split, _) in enumerate(splits[split_key]):
-            fisher = fits.get((split_key, fold, fisher_key))
-            if fisher is None:
-                try:
-                    fisher = fit_fisher(train_split, cfg.fisher_dim)
-                except (DataError, ValueError) as exc:
-                    fisher = exc
-                fits[split_key, fold, fisher_key] = fisher
-            if (split_key, fold, key) not in fits and not isinstance(fisher, Exception):
-                fits[split_key, fold, key] = None  # fitted below
-                tasks.append(((split_key, fold, key), train_split, cfg, fisher))
-    pipelines = fit_pipelines(task[1:] for task in tasks)
-    for (index, *_), pipeline in zip(tasks, pipelines):
-        fits[index] = pipeline
-    return splits, fits
-
-
-def _fold_error(fold: int, exc: Exception) -> DataError:
-    err = DataError(f"fold {fold}: {exc}")
-    err.__cause__ = exc
-    return err
 
 
 def run_experiments(data: Dataset, cfgs) -> list[EvaluationReport]:
     """Evaluate several pipeline/classifier configurations on one dataset.
 
-    Configurations with the same split settings and seed share their splits.
-    The first pass fits the projection once per split and ``fisher_dim`` and
-    the maps once per split, map kind, grid and schedule, every map of the
-    run in one engine call.  The second pass scores together the
-    configurations that share splits, a fit and a transform mode, fold by
-    fold: each fold's training and test rows are transformed once for all
-    of them, and each classifier scores all of a fold's test rows at once.
-    A configuration stops at its first failing fold.  The reports, and the
-    first error raised, are those of running each configuration alone, in
-    order.
+    Every split, projection and pipeline is made once per run under the
+    settings that make it, and configurations that share those settings
+    share it.  All pipelines are fitted first, every map of the run in one
+    engine call; then each configuration is scored alone, in order, as
+    ``run_experiment`` would score it, so the reports and the first error
+    raised are those of running each configuration by itself.  Transformed
+    rows and GNB models are kept for the whole run.
     """
     require_labels(data)
     cfgs = list(cfgs)
-    class_ids = data.class_ids
-    splits, fits = _plan(data, cfgs)
-    failed = [None] * len(cfgs)  # the error each configuration raises, if any
-    accuracies = [[] for _ in cfgs]
-    confusions = [np.zeros((class_ids.size, class_ids.size), dtype=np.int64) for _ in cfgs]
-    groups = {}  # (split key, fit keys, mode) -> indices of the configs scored together
-    for i, cfg in enumerate(cfgs):
-        split_key = _split_key(cfg)
-        if isinstance(splits[split_key], Exception):
-            failed[i] = splits[split_key]
-        else:
-            mode = cfg.pipeline.partition("-")[2]
-            groups.setdefault((split_key, _fit_keys(cfg), mode), []).append(i)
-    for (split_key, (fisher_key, key), mode), members in groups.items():
-        for fold, (train_split, test_split) in enumerate(splits[split_key]):
-            live = [i for i in members if failed[i] is None]
-            if not live:
-                break
-            if test_split.n == 0:
-                for i in live:
-                    failed[i] = DataError(f"fold {fold} has an empty test split")
-                continue
-            # the steps of one fold in a lone run's order: projection,
-            # training features, GNB fit, test features, prediction
+    store = {}
+    tasks = {}  # pipeline key -> (training split, config, projection), in first-use order
+    for cfg in cfgs:
+        try:
+            splits = _shared(store, _split_key(cfg), _splits, data, cfg)
+        except (DataError, ValueError):
+            continue  # raised again when cfg is scored
+        fit = _fit_key(cfg)
+        for fold, (train_split, _) in enumerate(splits):
             try:
-                if isinstance(fits[split_key, fold, fisher_key], Exception):
-                    raise fits[split_key, fold, fisher_key]
-                pipeline = fits[split_key, fold, key]
-                train_feats = pipeline.transform(train_split, mode)
-            except (DataError, ValueError) as exc:
-                for i in live:
-                    failed[i] = _fold_error(fold, exc)
+                fisher = _projection(store, fit, fold, train_split, cfg)
+            except (DataError, ValueError):
                 continue
-            gnb = test_feats = None
-            for i in live:
-                try:
-                    if cfgs[i].classifier == "gnb" and gnb is None:
-                        gnb = gnb_fit(train_feats)
-                    if test_feats is None:
-                        test_feats = pipeline.transform(test_split.without_labels(), mode)
-                    preds = _classify(train_feats, gnb, test_feats.X, cfgs[i])
-                except (DataError, ValueError) as exc:
-                    failed[i] = _fold_error(fold, exc)
-                    continue
-                accuracies[i].append(_score(class_ids, test_split.labels, preds, confusions[i]))
-    reports = []
-    for cfg, error, fold_accuracies, confusion in zip(cfgs, failed, accuracies, confusions):
-        if error is not None:
-            raise error
-        reports.append(
-            EvaluationReport(
-                pipeline=cfg.pipeline,
-                classifier=cfg.classifier,
-                eval_mode=cfg.eval_mode,
-                class_ids=class_ids,
-                fold_accuracies=fold_accuracies,
-                confusion=confusion,
-                config=asdict(cfg),
-            )
-        )
-    return reports
+            tasks.setdefault(("fit", fit, fold), (train_split, cfg, fisher))
+    store.update(zip(tasks, fit_pipelines(tasks.values())))
+    class_ids = data.class_ids
+    return [_evaluate(store, data, class_ids, cfg) for cfg in cfgs]
 
 
 def run_experiment(data: Dataset, cfg: ExperimentConfig) -> EvaluationReport:

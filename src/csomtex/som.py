@@ -116,8 +116,9 @@ def bmu(som: SomMap, x) -> tuple[int, float]:
     """Best matching unit: index of the Euclidean-nearest prototype and its
     distance.  Ties go to the lowest unit index."""
     x = _check_vector(som, x)
-    d = np.linalg.norm(som.weights - x, axis=1)
-    winner = int(np.argmin(d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.norm(som.weights - x, axis=1)
+    winner = int(np.argmin(check_finite(d)))
     return winner, float(d[winner])
 
 
@@ -288,7 +289,9 @@ def quantization_error(som: SomMap, data) -> float:
         raise ValueError("data must be non-empty")
     if X.ndim != 2 or X.shape[1] != som.dim:
         raise ShapeError(f"data shape {X.shape} incompatible with map dim {som.dim}")
-    return float(distances(X, som.weights).min(axis=1).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = distances(X, som.weights)
+    return float(check_finite(d).min(axis=1).mean())
 
 
 def replace_with_prototypes(som: SomMap, data: Dataset) -> Dataset:

@@ -345,6 +345,18 @@ class TestClassify:
         parts = out.split()
         assert parts[0] == "0" and len(parts) == 1 + CLASSES
 
+    def test_vector_with_a_negative_first_component(self, features_csv, model_file, capsys):
+        # argparse reads a word that starts with "-" as an option, so such a
+        # vector is passed as --vector=-1.5,...
+        parts = features_csv.read_text().splitlines()[1].split(",")[:-1]
+        vec = ",".join(["-1.5"] + parts[1:])
+        code, out, err = run(capsys, ["classify", str(model_file), "--vector=" + vec])
+        assert code == 0 and err == ""
+        assert int(out) in range(CLASSES)
+        code, out, err = run(capsys, ["classify", str(model_file), "--vector", vec])
+        assert code == 1 and out == ""
+        assert "argument --vector: expected one argument" in err
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_vector_components_must_be_finite(self, features_csv, model_file, capsys, bad):
         parts = features_csv.read_text().splitlines()[1].split(",")[:-1]
@@ -483,8 +495,9 @@ class TestEvaluate:
             ({"0": 2, "1": 1}, 0, ""),
             ({"0": 2, "1": 2, "2": 2, "1_0": 5, "-1": 3}, 1, "class ids (ASCII digits)"),
             ({"0": 2, "1": 2, "2": 2, "7": 1}, 2, "class(es) [7] absent from the data"),
+            ({"0": 2, "1": 6}, 2, "class 1 must leave at least one training row of 6"),
         ],
-        ids=["class_2_left_out", "non_digit_keys", "absent_class"],
+        ids=["class_2_left_out", "non_digit_keys", "absent_class", "count_takes_a_whole_class"],
     )
     def test_holdout_counts(self, corpus, features_csv, counts, code, message, tmp_path, capsys):
         settings = json.loads((corpus / "config.json").read_text())
@@ -663,14 +676,15 @@ class TestConfigErrors:
         assert "unknown top-level config keys: classifier" in err
 
     def test_evaluate_failure_leaves_no_output(self, corpus, tmp_path, capsys):
-        # a features file with one row per class cannot be cross-validated
+        # a features file with one row per class cannot be cross-validated:
+        # too few rows for the folds is a data error
         feats = tmp_path / "tiny.csv"
         feats.write_text("f0,f1,label\n0,0,0\n1,1,1\n")
         out = tmp_path / "r.csv"
-        code, _, _ = run(capsys, [
+        got = run(capsys, [
             "evaluate", str(feats), "--config", str(corpus / "config.json"), "-o", str(out),
         ])
-        assert code != 0
+        assert got == (2, "", "error: cannot make 3 folds from 2 rows\n")
         assert not out.exists()
 
 

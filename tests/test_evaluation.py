@@ -66,7 +66,7 @@ class TestKfoldSplit:
         data = gaussian_blobs([2, 2], dim=2)
         with pytest.raises(ValueError):
             kfold_split(data, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="^cannot make 5 folds from 4 rows$"):
             kfold_split(data, 5)
         with pytest.raises(DataError):
             kfold_split(data.without_labels(), 2)
@@ -95,9 +95,11 @@ class TestHoldoutSplit:
 
     def test_bad_counts(self):
         data = gaussian_blobs([4, 4], dim=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="must leave at least one training row of 4$"):
             holdout_split(data, {0: 4, 1: 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="for class 1 must leave"):
+            holdout_split(gaussian_blobs([4, 1], dim=2))  # the default count takes 1 of 1
+        with pytest.raises(ValueError, match="must be >= 0"):
             holdout_split(data, {0: -1, 1: 1})
 
 
@@ -412,8 +414,24 @@ class TestRunExperiments:
             ])
             return train_maps(maps, datas, scheds)
 
+        transforms = []  # (rows, labeled) of each FittedPipeline.transform call
+        transform = FittedPipeline.transform
+
+        def counted_transform(self, split, mode=None):
+            transforms.append((split.X.tobytes(), split.labels is not None))
+            return transform(self, split, mode)
+
+        gnb_fits = []
+        gnb = evaluation.gnb_fit
+
+        def counted_gnb(train_features):
+            gnb_fits.append(train_features)
+            return gnb(train_features)
+
         monkeypatch.setattr(evaluation, "fit_fisher", counted_fisher)
         monkeypatch.setattr(evaluation, "train_maps", counted_engine)
+        monkeypatch.setattr(FittedPipeline, "transform", counted_transform)
+        monkeypatch.setattr(evaluation, "gnb_fit", counted_gnb)
         run_experiments(data, self._grid())
         # 2 seeds x 3 folds: one projection each.  One engine call trains
         # every map of the run: per seed and fold the pooled map and the 3
@@ -422,6 +440,13 @@ class TestRunExperiments:
         assert [len(maps) for maps in engine_calls] == [24]
         every_map = [m for maps in engine_calls for m in maps]
         assert len(set(every_map)) == len(every_map) == 24
+        # per seed, fold and pipeline (with its mode): one training and one
+        # test transform, shared by both classifiers, and one GNB fit
+        assert len(transforms) == 60
+        assert len(gnb_fits) == 30
+        test_rows = {te.X.tobytes() for s in (0, 1) for _, te in kfold_split(data, 3, seed=s)}
+        tested = [labeled for rows, labeled in transforms if rows in test_rows]
+        assert len(tested) == 30 and not any(tested)
 
     def test_raw_grid_trains_no_map(self, monkeypatch):
         data = gaussian_blobs([9, 8, 7], dim=4, seed=6)
@@ -443,7 +468,7 @@ class TestRunExperiments:
         for cfg in later:
             with pytest.raises(DataError, match=r"^fold 0: k must lie in \[1, 5\], got 9$"):
                 run_experiments(data, [bad_k, cfg])
-        with pytest.raises(ValueError, match="^cannot make 11 folds from 10 rows$"):
+        with pytest.raises(DataError, match="^cannot make 11 folds from 10 rows$"):
             run_experiments(data, [later[0], bad_k])
         with pytest.raises(DataError, match=r"absent from the data$"):
             run_experiments(data, [later[1], bad_k])

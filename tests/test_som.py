@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from csomtex import (
+    DataError,
     Dataset,
     ExperimentConfig,
     ShapeError,
@@ -69,6 +70,11 @@ class TestBmu:
         som = SomMap(1, 2, np.zeros((2, 3)))
         with pytest.raises(ShapeError):
             bmu(som, [1.0, 2.0])
+
+    def test_overflowing_distances_are_data_errors(self):
+        som = SomMap(2, 2, np.zeros((4, 3)))
+        with pytest.raises(DataError, match="overflow the map distances"):
+            bmu(som, np.full(3, 1e200))
 
 
 class TestNeighborhood:
@@ -330,6 +336,11 @@ class TestQuantizationError:
         X = rng.random((25, 4))
         per_row = [min(np.linalg.norm(som.weights[u] - x) for u in range(6)) for x in X]
         assert abs(quantization_error(som, X) - np.mean(per_row)) < 1e-12
+
+    def test_overflowing_distances_are_data_errors(self):
+        som = SomMap(2, 2, np.zeros((4, 3)))
+        with pytest.raises(DataError, match="overflow the map distances"):
+            quantization_error(som, np.full((2, 3), 1e200))
 
 
 class TestPrototypeTransforms:

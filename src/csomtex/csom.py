@@ -7,17 +7,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNLABELED, Dataset, require_labels
+from .data import Dataset, require_labels
 from .errors import DataError, ShapeError
 from .som import (
     SomMap,
     TrainingSchedule,
-    bmu_indices,
     check_finite,
+    compose,
     derive_schedule,
     distances,
     init_map,
     train,
+    winning_prototypes,
 )
 
 
@@ -41,6 +42,10 @@ class CsomModel:
     @property
     def class_ids(self) -> np.ndarray:
         return np.array([cid for cid, _ in self.entries], dtype=np.int64)
+
+    @property
+    def maps(self) -> list:
+        return [som for _, som in self.entries]
 
     @property
     def n_classes(self) -> int:
@@ -95,11 +100,6 @@ def train_csom(data: Dataset, rows: int, cols: int, sched: TrainingSchedule) -> 
     return CsomModel([(cid, train(som, sub, s)) for cid, som, sub, s in jobs])
 
 
-def _check_dim(model: CsomModel, dim: int) -> None:
-    if dim != model.dim:
-        raise ShapeError(f"input dimension {dim} != model dimension {model.dim}")
-
-
 def _error_matrix(model: CsomModel, X: np.ndarray) -> np.ndarray:
     """(n, n_classes) matrix of per-map BMU distances."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -127,50 +127,18 @@ def classify_dataset(model: CsomModel, data: Dataset) -> tuple[np.ndarray, np.nd
     """Batch classify: (predicted labels, per-class error matrix)."""
     if model.n_classes < 2:
         raise DataError("classification needs a model with at least 2 class maps")
-    _check_dim(model, data.dim)
+    if data.dim != model.dim:
+        raise ShapeError(f"input dimension {data.dim} != model dimension {model.dim}")
     errors = _error_matrix(model, data.X)
     preds = model.class_ids[np.argmin(errors, axis=1)]
     return preds, errors
 
 
-def _winning_prototypes(model: CsomModel, data: Dataset) -> np.ndarray:
-    """Winner prototype per row: the row's own class map when it is labeled,
-    otherwise the map with least quantization error."""
-    _check_dim(model, data.dim)
-    out = np.empty_like(data.X)
-    labels = data.labels
-    if labels is None:
-        unlabeled = np.arange(data.n)
-    else:
-        known = set(int(c) for c in model.class_ids)
-        present = set(int(c) for c in np.unique(labels[labels != UNLABELED]))
-        missing = sorted(present - known)
-        if missing:
-            raise DataError(f"no class map for labeled rows of class(es) {missing}")
-        unlabeled = np.flatnonzero(labels == UNLABELED)
-        for cid, som in model.entries:
-            idx = np.flatnonzero(labels == cid)
-            if idx.size:
-                out[idx] = som.weights[bmu_indices(som, data.X[idx])]
-    if unlabeled.size:
-        X = data.X[unlabeled]
-        errors = _error_matrix(model, X)
-        best_map = np.argmin(errors, axis=1)
-        for mi, (_, som) in enumerate(model.entries):
-            sel = np.flatnonzero(best_map == mi)
-            if sel.size:
-                out[unlabeled[sel]] = som.weights[bmu_indices(som, X[sel])]
-    return out
-
-
 def transform_replace(model: CsomModel, data: Dataset) -> Dataset:
     """Replace every row with its winner prototype (labels and order kept)."""
-    protos = _winning_prototypes(model, data)
-    return Dataset(protos, None if data.labels is None else data.labels.copy())
+    return compose(data, winning_prototypes(model.maps, data, model.class_ids), "replace")
 
 
 def transform_append(model: CsomModel, data: Dataset) -> Dataset:
     """Concatenate each row with its winner prototype, doubling the dimension."""
-    protos = _winning_prototypes(model, data)
-    X = np.hstack([data.X, protos])
-    return Dataset(X, None if data.labels is None else data.labels.copy())
+    return compose(data, winning_prototypes(model.maps, data, model.class_ids), "append")

@@ -10,23 +10,23 @@ through the model.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .csom import CsomModel, class_maps, transform_append, transform_replace
+from .csom import CsomModel, class_maps
 from .data import Dataset, require_labels
 from .errors import DataError
 from .fisher import FisherProjection, fit_fisher, project_dataset
 from .som import (
     SomMap,
     TrainingSchedule,
-    append_prototypes,
+    compose,
     distances,
     init_map,
-    replace_with_prototypes,
     train,  # not called here; perfbench's tracer test checks evaluation.train is som.train
     train_maps,
+    winning_prototypes,
 )
 
 PIPELINES = ("raw", "som-replace", "som-append", "csom-replace", "csom-append")
@@ -156,17 +156,18 @@ class FittedPipeline:
             fisher = fit_fisher(data, cfg.fisher_dim)
         return fit_pipelines([(data, cfg, fisher)])[0]
 
+    def lookup(self, data: Dataset) -> tuple:
+        """``(projected rows, their winning prototypes)``, the prototypes None
+        without a map.  Labeled rows take their own class map."""
+        z = project_dataset(self.fisher, data)
+        if self.csom is not None:
+            return z, winning_prototypes(self.csom.maps, z, self.csom.class_ids)
+        return z, None if self.som is None else winning_prototypes([self.som], z)
+
     def transform(self, data: Dataset, mode: str | None = None) -> Dataset:
         """Project, then replace each row by its winning prototype or append
-        the prototype to it (``mode``, by default the stored one).  Labeled
-        rows take their own class map; without a map the projection is all."""
-        z = project_dataset(self.fisher, data)
-        replace = (mode or self.mode) == "replace"
-        if self.som is not None:
-            return (replace_with_prototypes if replace else append_prototypes)(self.som, z)
-        if self.csom is not None:
-            return (transform_replace if replace else transform_append)(self.csom, z)
-        return z
+        it (``mode``, by default the stored one); without a map, only project."""
+        return compose(*self.lookup(data), mode or self.mode)
 
 
 def fit_pipelines(tasks) -> list[FittedPipeline]:
@@ -213,7 +214,6 @@ class EvaluationReport:
     class_ids: np.ndarray
     fold_accuracies: list
     confusion: np.ndarray  # rows: true class, cols: predicted class
-    config: dict = field(default_factory=dict)
 
     @property
     def mean_accuracy(self) -> float:
@@ -470,8 +470,8 @@ def _evaluate(
     store: dict, data: Dataset, class_ids: np.ndarray, cfg: ExperimentConfig
 ) -> EvaluationReport:
     """Score ``cfg`` alone, fold by fold, from the fits in ``store``, sharing
-    each fold's features and GNB model with the configs scored before it.
-    Raises at the first failing fold."""
+    each fold's prototype lookups and GNB model with the configs scored
+    before it.  Raises at the first failing fold."""
     confusion = np.zeros((class_ids.size, class_ids.size), dtype=np.int64)
     accuracies = []
     fit = _fit_key(cfg)
@@ -480,20 +480,20 @@ def _evaluate(
     for fold, (train_split, test_split) in enumerate(splits):
         if test_split.n == 0:
             raise DataError(f"fold {fold} has an empty test split")
-        step = (fit, fold, mode)
-        # a lone run's steps: projection, training features, GNB fit, test
-        # features, prediction
+        # a lone run's steps: projection, training lookup, GNB fit, test
+        # lookup, prediction; both transform modes compose from one lookup
         try:
             _projection(store, fit, fold, train_split, cfg)
             pipeline = store["fit", fit, fold]
-            train_feats = _shared(store, ("train", *step), pipeline.transform, train_split, mode)
+            train_lookup = _shared(store, ("train", fit, fold), pipeline.lookup, train_split)
+            train_feats = compose(*train_lookup, mode)
             gnb = None
             if cfg.classifier == "gnb":
-                gnb = _shared(store, ("gnb", *step), gnb_fit, train_feats)
-            test_feats = _shared(
-                store, ("test", *step), pipeline.transform, test_split.without_labels(), mode
+                gnb = _shared(store, ("gnb", fit, fold, mode), gnb_fit, train_feats)
+            test_lookup = _shared(
+                store, ("test", fit, fold), pipeline.lookup, test_split.without_labels()
             )
-            preds = _classify(train_feats, gnb, test_feats.X, cfg)
+            preds = _classify(train_feats, gnb, compose(*test_lookup, mode).X, cfg)
         except (DataError, ValueError) as exc:
             raise DataError(f"fold {fold}: {exc}") from exc
         accuracies.append(_score(class_ids, test_split.labels, preds, confusion))
@@ -504,7 +504,6 @@ def _evaluate(
         class_ids=class_ids,
         fold_accuracies=accuracies,
         confusion=confusion,
-        config=asdict(cfg),
     )
 
 
@@ -516,8 +515,8 @@ def run_experiments(data: Dataset, cfgs) -> list[EvaluationReport]:
     share it.  All pipelines are fitted first, every map of the run in one
     engine call; then each configuration is scored alone, in order, as
     ``run_experiment`` would score it, so the reports and the first error
-    raised are those of running each configuration by itself.  Transformed
-    rows and GNB models are kept for the whole run.
+    raised are those of running each configuration by itself.  Each fold's
+    lookups (one per fit and side) and GNB models are kept for the run.
     """
     require_labels(data)
     cfgs = list(cfgs)

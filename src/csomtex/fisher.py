@@ -88,8 +88,8 @@ def scatter_matrices(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
 def fit_fisher(data: Dataset, dim: int | None = None) -> FisherProjection:
     """Fit the two-stage discriminant projection on a labeled dataset.
 
-    ``dim`` defaults to n_classes - 1 (the maximal discriminant rank) and may
-    not exceed it.  Requires at least two classes and two rows per class.
+    ``dim`` defaults to n_classes - 1 (the maximal discriminant rank); more is
+    a DataError.  Requires at least two classes and two rows per class.
     The within-class scatter is regularized with a relative ridge before
     inversion because small per-class counts leave it near-singular.
     Features so large that their scatter overflows float64 are a DataError.
@@ -104,8 +104,10 @@ def fit_fisher(data: Dataset, dim: int | None = None) -> FisherProjection:
         raise DataError("every class needs at least two rows")
     if dim is None:
         dim = n_classes - 1
-    if not 1 <= dim <= n_classes - 1:
-        raise ValueError(f"dim must lie in [1, {n_classes - 1}], got {dim}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if dim > n_classes - 1:
+        raise DataError(f"fisher_dim {dim} needs at least {dim + 1} classes, got {n_classes}")
 
     n = data.n
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,4 +1,4 @@
-"""Self-organizing map: prototype grid, BMU search, and online training."""
+"""Self-organizing map: prototype grid, BMU and winning-prototype lookup, online training."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import UNLABELED, Dataset
 from .errors import DataError, ShapeError
 
 
@@ -137,16 +137,6 @@ def check_finite(d: np.ndarray) -> np.ndarray:
     if not np.isfinite(d).all():
         raise DataError("feature magnitudes overflow the map distances; rescale the features")
     return d
-
-
-def bmu_indices(som: SomMap, X: np.ndarray) -> np.ndarray:
-    """Vectorized BMU lookup for a batch of row vectors."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != som.dim:
-        raise ShapeError(f"batch shape {X.shape} incompatible with map dim {som.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = distances(X, som.weights)
-    return np.argmin(check_finite(d), axis=1)
 
 
 def neighborhood(som: SomMap, winner: int, unit: int, sigma: float) -> float:
@@ -294,17 +284,57 @@ def quantization_error(som: SomMap, data) -> float:
     return float(check_finite(d).min(axis=1).mean())
 
 
+def winning_prototypes(maps, data: Dataset, class_ids=None) -> np.ndarray:
+    """Each row's winner-take-all prototype among ``maps``.  Given the maps'
+    ``class_ids``, a labeled row takes the nearest unit of its class's map;
+    any other row that of the map whose nearest unit is closest, ties going
+    to the lower map and unit.  A row's distances to a map are computed
+    once; one that overflows is a DataError if it lies in the map the row
+    takes, or is the nearest distance to a map the row compares."""
+    if data.dim != maps[0].dim:
+        raise ShapeError(f"input dimension {data.dim} != model dimension {maps[0].dim}")
+    n, X = data.n, data.X
+    pick = np.full(n, -1)
+    if class_ids is not None and data.labels is not None:
+        labeled = data.labels != UNLABELED
+        missing = sorted(set(data.labels[labeled].tolist()) - set(class_ids.tolist()))
+        if missing:
+            raise DataError(f"no class map for labeled rows of class(es) {missing}")
+        pick[labeled] = np.searchsorted(class_ids, data.labels[labeled])
+    free = pick < 0
+    unit = np.empty((n, len(maps)), dtype=np.int64)
+    nearest, farthest = np.empty((2, n, len(maps)))
+    for m, som in enumerate(maps):
+        rows = np.flatnonzero(free | (pick == m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = distances(X[rows], som.weights)
+        unit[rows, m] = d.argmin(axis=1)
+        nearest[rows, m] = d.min(axis=1)
+        farthest[rows, m] = d.max(axis=1)
+    pick[free] = check_finite(nearest[free]).argmin(axis=1)
+    taken = np.arange(n), pick
+    check_finite(farthest[taken])
+    first_unit = np.cumsum([0] + [som.n_units for som in maps])
+    return np.concatenate([som.weights for som in maps])[first_unit[pick] + unit[taken]]
+
+
+def compose(data: Dataset, prototypes, mode: str) -> Dataset:
+    """Each row replaced by its prototype (``mode`` "replace") or followed by
+    it ("append"), labels passed through; without prototypes, ``data``."""
+    if prototypes is None:
+        return data
+    X = prototypes if mode == "replace" else np.hstack([data.X, prototypes])
+    return Dataset(X, None if data.labels is None else data.labels.copy())
+
+
 def replace_with_prototypes(som: SomMap, data: Dataset) -> Dataset:
     """Quantize every row to its BMU prototype (labels pass through)."""
-    idx = bmu_indices(som, data.X)
-    return Dataset(som.weights[idx].copy(), None if data.labels is None else data.labels.copy())
+    return compose(data, winning_prototypes([som], data), "replace")
 
 
 def append_prototypes(som: SomMap, data: Dataset) -> Dataset:
     """Concatenate each row with its BMU prototype (labels pass through)."""
-    idx = bmu_indices(som, data.X)
-    X = np.hstack([data.X, som.weights[idx]])
-    return Dataset(X, None if data.labels is None else data.labels.copy())
+    return compose(data, winning_prototypes([som], data), "append")
 
 
 def derive_schedule(sched: TrainingSchedule, iterations: int, seed: int | None = None) -> TrainingSchedule:

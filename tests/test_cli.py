@@ -687,6 +687,21 @@ class TestConfigErrors:
         assert got == (2, "", "error: cannot make 3 folds from 2 rows\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_fisher_dim_above_the_class_count_is_data_error(
+        self, command, corpus, features_csv, tmp_path, capsys
+    ):
+        # the corpus has 3 classes, so at most 2 discriminant components
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(json.loads((corpus / "config.json").read_text()),
+                                       fisher_dim=5)))
+        out = tmp_path / "out.txt"
+        argv = [command, str(features_csv), "--config", str(cfg), "-o", str(out)]
+        code, _, err = run(capsys, argv)
+        fold = "fold 0: " if command == "evaluate" else ""
+        assert (code, err) == (2, f"error: {fold}fisher_dim 5 needs at least 6 classes, got 3\n")
+        assert not out.exists()
+
 
 class TestUndecodableInput:
     def test_non_ascii_features(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from csomtex import (
     classify,
     classify_dataset,
     init_map,
+    replace_with_prototypes,
     split_by_class,
     train,
     train_csom,
@@ -211,6 +212,63 @@ class TestTransforms:
         data = Dataset(np.zeros((1, 2)), np.array([9]))
         with pytest.raises(DataError, match="9"):
             transform_replace(model, data)
+
+    def test_matches_a_per_row_reference(self):
+        # small-integer prototypes and rows, so distances tie across units
+        # and maps; a labeled row searches its own map, any other row every
+        # map, the lowest map and unit winning ties
+        rng = np.random.default_rng(4)
+        for dim in (1, 3, 9):
+            model = CsomModel([
+                (cid, SomMap(2, 2, rng.integers(0, 3, size=(4, dim)).astype(np.float64)))
+                for cid in (0, 2, 5)
+            ])
+            X = rng.integers(0, 3, size=(40, dim)).astype(np.float64)
+            labels = rng.choice([UNLABELED, 0, 2, 5], size=40)
+            for data in (Dataset(X, labels), Dataset(X, None)):
+                expect = []
+                for x, label in zip(X, [UNLABELED] * 40 if data.labels is None else labels):
+                    maps = [model.map_for(label)] if label != UNLABELED else [
+                        som for _, som in model.entries
+                    ]
+                    d = [np.linalg.norm(som.weights - x, axis=1) for som in maps]
+                    best = int(np.argmin([di.min() for di in d]))
+                    expect.append(maps[best].weights[int(np.argmin(d[best]))])
+                replaced = transform_replace(model, data).X
+                np.testing.assert_array_equal(bits(replaced), bits(np.array(expect)))
+                appended = transform_append(model, data).X
+                np.testing.assert_array_equal(bits(appended), bits(np.hstack([X, expect])))
+
+    def test_overflow_follows_the_map_a_row_takes(self):
+        # map 0's second unit is so far out that its distance overflows, but
+        # its first is the nearest unit to x: winner-take-all compares the
+        # maps' nearest distances, a prototype lookup every distance of the
+        # map it takes
+        model = CsomModel([
+            (0, SomMap(1, 2, np.array([[0.0, 0.0], [1e300, 0.0]]))),
+            (1, SomMap(1, 2, np.array([[5.0, 5.0], [6.0, 6.0]]))),
+        ])
+        x = np.array([0.5, 0.0])
+        assert classify(model, x)[0] == 0
+        assert classify_dataset(model, Dataset(x[None], None))[0].tolist() == [0]
+        for labels in (None, [UNLABELED], [0]):
+            with pytest.raises(DataError, match="overflow the map distances"):
+                transform_replace(model, Dataset(x[None], labels))
+        out = transform_append(model, Dataset(x[None], np.array([1])))
+        np.testing.assert_array_equal(out.X, [[0.5, 0.0, 5.0, 5.0]])
+        with pytest.raises(DataError, match="overflow the map distances"):
+            replace_with_prototypes(model.map_for(0), Dataset(x[None], None))
+        np.testing.assert_array_equal(
+            replace_with_prototypes(model.map_for(1), Dataset(x[None], None)).X, [[5.0, 5.0]]
+        )
+        # a map out of reach altogether: a row that compares the maps
+        # overflows, one labeled with the other class does not
+        far = CsomModel([model.entries[1], (3, SomMap(1, 1, np.array([[-1e300, 0.0]])))])
+        with pytest.raises(DataError, match="overflow the map distances"):
+            transform_replace(far, Dataset(x[None], np.array([UNLABELED])))
+        np.testing.assert_array_equal(
+            transform_replace(far, Dataset(x[None], np.array([1]))).X, [[5.0, 5.0]]
+        )
 
     def test_replaced_rows_are_prototypes(self):
         data = gaussian_blobs([15, 15], dim=3, seed=8)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -414,12 +416,12 @@ class TestRunExperiments:
             ])
             return train_maps(maps, datas, scheds)
 
-        transforms = []  # (rows, labeled) of each FittedPipeline.transform call
-        transform = FittedPipeline.transform
+        lookups = []  # (rows, labeled) of each FittedPipeline.lookup call
+        lookup = FittedPipeline.lookup
 
-        def counted_transform(self, split, mode=None):
-            transforms.append((split.X.tobytes(), split.labels is not None))
-            return transform(self, split, mode)
+        def counted_lookup(self, split):
+            lookups.append((split.X.tobytes(), split.labels is not None))
+            return lookup(self, split)
 
         gnb_fits = []
         gnb = evaluation.gnb_fit
@@ -430,23 +432,28 @@ class TestRunExperiments:
 
         monkeypatch.setattr(evaluation, "fit_fisher", counted_fisher)
         monkeypatch.setattr(evaluation, "train_maps", counted_engine)
-        monkeypatch.setattr(FittedPipeline, "transform", counted_transform)
+        monkeypatch.setattr(FittedPipeline, "lookup", counted_lookup)
         monkeypatch.setattr(evaluation, "gnb_fit", counted_gnb)
-        run_experiments(data, self._grid())
+        # a second gnb config per grid cell, differing only in knn_k (which
+        # GNB ignores), shares every fit of its twin
+        twins = [replace(c, knn_k=3) for c in self._grid() if c.classifier == "gnb"]
+        run_experiments(data, self._grid() + twins)
         # 2 seeds x 3 folds: one projection each.  One engine call trains
         # every map of the run: per seed and fold the pooled map and the 3
-        # class maps, shared by both modes and both classifiers.
+        # class maps, shared by both modes and all classifiers.
         assert len(fishers) == 6
         assert [len(maps) for maps in engine_calls] == [24]
         every_map = [m for maps in engine_calls for m in maps]
         assert len(set(every_map)) == len(every_map) == 24
-        # per seed, fold and pipeline (with its mode): one training and one
-        # test transform, shared by both classifiers, and one GNB fit
-        assert len(transforms) == 60
+        # per seed, fold and fit (raw, pooled, per-class): one training and
+        # one test lookup, shared by both modes and all classifiers; per
+        # seed, fold and pipeline (a fit and a mode): one GNB fit, shared
+        # by the twins
+        assert len(lookups) == 36
         assert len(gnb_fits) == 30
         test_rows = {te.X.tobytes() for s in (0, 1) for _, te in kfold_split(data, 3, seed=s)}
-        tested = [labeled for rows, labeled in transforms if rows in test_rows]
-        assert len(tested) == 30 and not any(tested)
+        tested = [labeled for rows, labeled in lookups if rows in test_rows]
+        assert len(tested) == 18 and not any(tested)
 
     def test_raw_grid_trains_no_map(self, monkeypatch):
         data = gaussian_blobs([9, 8, 7], dim=4, seed=6)

@@ -109,7 +109,8 @@ class TestFitFisher:
 
     def test_dim_out_of_range(self):
         data = three_class_5d()
-        with pytest.raises(ValueError):
+        # more than n_classes - 1 depends on the data; below 1 is misuse
+        with pytest.raises(DataError, match=r"^fisher_dim 3 needs at least 4 classes, got 3$"):
             fit_fisher(data, dim=3)
         with pytest.raises(ValueError):
             fit_fisher(data, dim=0)

@@ -1,19 +1,28 @@
-"""Property-based fuzzing of the input parsers.
+"""Property-based fuzzing of the input parsers and of the command line.
 
 Malformed PGM bytes, features CSV text, model files and manifests may only
 raise the package's own errors or ValueError, which the CLI maps to its
 documented exit codes; anything else would reach the user as a traceback.
+Mutated command lines and input files must end every subcommand with one
+of those exit codes and, when it fails, leave the files as they were.
 Runs are derandomized, so the suite gives the same result every time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from csomtex import ExperimentConfig, FittedPipeline, Image, load_pgm, save_pgm
-from csomtex.cli import read_manifest
-from csomtex.data import dataset_from_csv
+from csomtex.cli import main, read_manifest
+from csomtex.data import dataset_from_csv, dataset_to_csv
 from csomtex.errors import Error
 from csomtex.model_io import fnv1a64, parse_model, serialize_model
 from helpers import gaussian_blobs
@@ -130,3 +139,118 @@ def test_read_manifest(tmp_path, data):
     path = tmp_path / "manifest.txt"
     path.write_bytes(data)
     _must_not_escape(read_manifest, path)
+
+
+# The command-line fuzz: every subcommand on small valid inputs, then one to
+# four edits to its argument list and at most one input file.  Inputs live
+# in in/, and the command runs in work/, so a relative output path lands
+# there; generated tokens hold no "/", so nothing is written elsewhere.
+_CONFIG = {
+    "roi": {"mode": "blockwise", "block_size": 4},
+    "texture": {"levels": 4},
+    "map": {"rows": 1, "cols": 2},
+    "folds": 2,
+    "schedule": {"steps_per_sample": 2},
+}
+_PGMS = {
+    f"c{c}_{i}.pgm": save_pgm(Image(np.random.default_rng(i).integers(0, 16 * c + 16, (8, 8)), 255))
+    for c in range(3)
+    for i in range(2)
+}
+_INPUTS = {
+    "config.json": json.dumps(_CONFIG).encode(),
+    "feats.csv": dataset_to_csv(gaussian_blobs([4, 4, 4], dim=3, seed=1)).encode(),
+    "model.txt": _MODEL.encode(),
+    "manifest.txt": "".join(f"{name},{name[1]}\n" for name in _PGMS).encode(),
+    **_PGMS,
+}
+_ARGVS = [
+    ["extract", "{in}/manifest.txt", "-o", "feats.csv", "--config", "{in}/config.json",
+     "--dump-masks", "masks"],
+    ["train", "{in}/feats.csv", "-o", "model.txt", "--config", "{in}/config.json",
+     "--mode", "append", "--seed", "3"],
+    ["train", "{in}/feats.csv", "-o", "model.txt", "--config", "{in}/config.json", "--single-som"],
+    ["transform", "{in}/model.txt", "{in}/feats.csv", "-o", "out.csv", "--mode", "append"],
+    ["classify", "{in}/model.txt", "{in}/feats.csv", "-o", "out.csv", "--errors"],
+    ["classify", "{in}/model.txt", "--vector=0.5,-1,2", "--errors"],
+    ["evaluate", "{in}/feats.csv", "-o", "out.csv", "--config", "{in}/config.json"],
+]
+_ARGV_TOKENS = st.one_of(
+    st.sampled_from(
+        ["extract", "train", "transform", "classify", "evaluate", "-o", "--output", "--config",
+         "--seed", "--mode", "--single-som", "--errors", "--vector", "--dump-masks", "--help",
+         "--version", "--", "-", "", "append", "replace", "-1", "0", "7", "1,2,3", "1e308,1,1",
+         "nan,0,0", "{in}/feats.csv", "{in}/model.txt", "{in}/config.json", "{in}/manifest.txt",
+         "{in}/c0_0.pgm", "{in}", "{in}/absent", "out.csv", "masks", "work/deeper.csv"]
+    ),
+    st.text(st.characters(blacklist_characters="/"), max_size=6),
+)
+# JSON tokens without digits, so no edit can ask for a long training run
+_CONFIG_CHUNKS = st.one_of(
+    st.text(st.characters(blacklist_categories=["Nd"]), max_size=4),
+    st.sampled_from(
+        ['"', ":", ",", "{", "}", "[", "]", "null", "true", "-", "1e999", ".5", '"folds"',
+         '"fisher_dim"', '"map"', '"rows"', '"knn_k"', '"evaluate"', '"mode"', '"holdout"']
+    ),
+)
+_FILE_EDITS = st.one_of(
+    st.none(),
+    *[
+        mutations(_INPUTS[name], chunks).map(lambda data, name=name: (name, data))
+        for name, chunks in [
+            ("config.json", _CONFIG_CHUNKS.map(str.encode)),
+            ("feats.csv", _TEXT_CHUNKS.map(str.encode)),
+            ("model.txt", _TEXT_CHUNKS.map(str.encode)),
+            ("manifest.txt", _TEXT_CHUNKS.map(str.encode)),
+            ("c0_0.pgm", st.binary(min_size=1, max_size=4)),
+        ]
+    ],
+    mutations(_MODEL, _TEXT_CHUNKS).map(lambda text: ("model.txt", _reseal(text).encode())),
+)
+
+
+def _snapshot(root: str) -> dict:
+    """Every directory and file under ``root``, with the files' bytes."""
+    found = {}
+    for path, dirs, files in os.walk(root):
+        for name in dirs:
+            found[os.path.join(path, name)] = None
+        for name in files:
+            with open(os.path.join(path, name), "rb") as fh:
+                found[os.path.join(path, name)] = fh.read()
+    return found
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(_ARGVS).flatmap(
+        lambda argv: st.one_of(st.just(argv), mutations(argv, st.lists(_ARGV_TOKENS, max_size=2)))
+    ),
+    _FILE_EDITS,
+)
+def test_cli_main(argv, edit):
+    with tempfile.TemporaryDirectory() as root:
+        inputs, work = os.path.join(root, "in"), os.path.join(root, "work")
+        os.mkdir(inputs)
+        os.mkdir(work)
+        files = dict(_INPUTS)
+        if edit:
+            files[edit[0]] = edit[1]
+        for name, data in files.items():
+            with open(os.path.join(inputs, name), "wb") as fh:
+                fh.write(data)
+        before = _snapshot(root)
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([token.replace("{in}", inputs) for token in argv])
+        finally:
+            os.chdir(cwd)
+        after = _snapshot(root)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert not [path for path in after if path.endswith(".tmp")]
+    if code != 0:
+        assert after == before

@@ -9,6 +9,7 @@ files behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -101,11 +102,29 @@ def cmd_extract(args) -> int:
     label_arr = np.array(labels, dtype=np.int64)
     data = Dataset(np.array(rows), None if (label_arr == UNLABELED).all() else label_arr)
     csv_text = dataset_to_csv(data)
-    if args.dump_masks:
-        os.makedirs(args.dump_masks, exist_ok=True)
-        for fname, text in mask_dumps:
-            write_atomic(os.path.join(args.dump_masks, fname), text)
-    write_atomic(args.output, csv_text)
+    # what this run makes, removed again if a later write fails
+    made_dirs, made_files = [], []
+    try:
+        if args.dump_masks:
+            head = os.path.abspath(args.dump_masks)
+            while not os.path.lexists(head):
+                made_dirs.append(head)
+                head = os.path.dirname(head)
+            os.makedirs(args.dump_masks, exist_ok=True)
+            for fname, text in mask_dumps:
+                path = os.path.join(args.dump_masks, fname)
+                if not os.path.lexists(path):
+                    made_files.append(path)
+                write_atomic(path, text)
+        write_atomic(args.output, csv_text)
+    except BaseException:
+        for path in made_files:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        for path in made_dirs:  # deepest first
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     return 0
 
 

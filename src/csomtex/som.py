@@ -68,15 +68,19 @@ class TrainingSchedule:
 
     def alpha_at(self, t):
         """The learning rate at step t (an int, or an integer array of steps)."""
-        if self.iterations == 1:
-            return self.alpha0
-        return self.alpha0 + (self.alpha_final - self.alpha0) * t / (self.iterations - 1)
+        return _ramp(self.alpha0, self.alpha_final, t, self.iterations)
 
     def sigma_at(self, t):
         """The kernel width at step t (an int, or an integer array of steps)."""
-        if self.iterations == 1:
-            return self.sigma0
-        return self.sigma0 + (self.sigma_final - self.sigma0) * t / (self.iterations - 1)
+        return _ramp(self.sigma0, self.sigma_final, t, self.iterations)
+
+
+def _ramp(start, end, t, iterations):
+    """The linear ramp from ``start`` at step 0 to ``end`` at step
+    ``iterations - 1``, at step t; a one-step schedule stays at ``start``.
+    Every argument may be an array, so one call gives many schedules' values
+    at many steps, each bitwise its scalar one."""
+    return start + (end - start) * t / np.maximum(iterations - 1, 1)
 
 
 def _data_matrix(data) -> np.ndarray:
@@ -153,9 +157,10 @@ def neighborhood(som: SomMap, winner: int, unit: int, sigma: float) -> float:
 
 
 # train_maps builds its per-step tables (learning rates, kernel widths and
-# sample rows) this many steps at a time, so their memory stays fixed
-# however long the schedules run.
-STEP_CHUNK = 512
+# gathered sample rows, for every map still training) at most this many
+# steps at a time, so their memory stays fixed however long the schedules
+# run: at 800 maps of dimension 6, about 6.5 MB.
+STEP_CHUNK = 128
 
 
 def train_step(som: SomMap, x, alpha: float, sigma: float) -> SomMap:
@@ -224,52 +229,79 @@ def _train_stack(W: np.ndarray, cols: int, Xs: list, scheds: list) -> None:
     at step t are always the leading ones, W[:k]; a finished map is never
     touched again.
     """
-    _, dim, units = W.shape
-    rows = units // cols
+    units = W.shape[2]
     budgets = np.array([s.iterations for s in scheds])
+    sizes = np.array([X.shape[0] for X in Xs])
     # every map's rows in one pool; a map's shuffled order indexes its part
     pool = np.concatenate(Xs)[:, :, None]
-    starts = np.cumsum([0] + [X.shape[0] for X in Xs])
-    orders = [
-        start + np.random.default_rng(s.seed).permutation(X.shape[0])
-        for start, X, s in zip(starts, Xs, scheds)
-    ]
-    # unit i sits at (i // cols, i % cols); its squared grid distance to the
-    # winner is a row term plus a column term, both exact in float64
-    r = np.arange(rows, dtype=np.float64)
-    c = np.arange(cols, dtype=np.float64)
-    neg_r2 = -((r[:, None] - r) ** 2)[:, :, None]  # (rows, rows, 1)
-    neg_c2 = -((c[:, None] - c) ** 2)[:, None, :]  # (cols, 1, cols)
-    for t0 in range(0, int(budgets[0]), STEP_CHUNK):
-        steps = np.arange(t0, min(t0 + STEP_CHUNK, int(budgets[0])))
-        active = int(np.count_nonzero(budgets > t0))
-        alpha = np.empty((steps.size, active, 1, 1))
-        width = np.empty((steps.size, active, 1, 1))  # 2 sigma^2
-        sample = np.empty((steps.size, active), dtype=np.int64)
-        for j in range(active):
-            t = steps[steps < budgets[j]]
-            alpha[: t.size, j, 0, 0] = scheds[j].alpha_at(t)
-            sigma = scheds[j].sigma_at(t)
-            width[: t.size, j, 0, 0] = 2.0 * sigma * sigma
-            sample[: t.size, j] = orders[j][t % orders[j].size]
-        training = (budgets[:active, None] > steps).sum(axis=0)
-        for i, k in enumerate(training.tolist()):
-            w = W[:k]
-            diff = pool.take(sample[i, :k], axis=0) - w  # x - W
-            sq = diff * diff
-            # Sum the squares in the order np.linalg.norm sums a unit's
-            # components along its contiguous axis: fewer than 8 terms one
-            # after another, as a sum over the component axis here adds
-            # them; 8 or more in pairwise blocks, which only a sum along a
-            # contiguous copy reproduces.
-            if dim < 8:
-                d2 = np.add.reduce(sq, axis=1)
-            else:
-                d2 = np.add.reduce(np.ascontiguousarray(sq.transpose(0, 2, 1)), axis=2)
-            # the root keeps ties as np.linalg.norm leaves them
-            wr, wc = np.divmod(np.sqrt(d2).argmin(axis=1), cols)
-            h = np.exp((neg_r2.take(wr, axis=0) + neg_c2.take(wc, axis=0)) / width[i, :k])
-            w += (alpha[i, :k] * h).reshape(k, 1, units) * diff
+    firsts = np.cumsum(sizes) - sizes
+    orders = np.concatenate(
+        [first + np.random.default_rng(s.seed).permutation(size) for first, size, s in zip(firsts, sizes, scheds)]
+    )
+    ramps = _ramps(scheds)
+    table = _neighborhood_table(units // cols, cols)
+    # a segment ends where a chunk does or a map's budget runs out, so the
+    # same k maps train through all of its steps
+    edges = sorted(set(budgets.tolist()) | set(range(0, int(budgets[0]), STEP_CHUNK)))
+    for t0, t1 in zip(edges, edges[1:]):
+        k = int(np.count_nonzero(budgets > t0))
+        steps = np.arange(t0, t1)[:, None]
+        xs = pool[orders[firsts[:k] + steps % sizes[:k]]]  # (steps, k, dim, 1)
+        _train_segment(W[:k], xs, *_schedule_tables(ramps[:, :k], steps), table)
+
+
+def _train_segment(w, xs, alpha, width, table) -> None:
+    """The steps of one segment for the maps ``w`` in place, given each
+    step's sample rows, learning rates and 2 sigma^2.  Its tables and
+    temporaries are freed on return, before the next segment's are built."""
+    dim = w.shape[1]
+    for x, a, w2 in zip(xs, alpha, width):
+        diff = x - w
+        sq = diff * diff
+        # Sum the squares in the order np.linalg.norm sums a unit's
+        # components along its contiguous axis: fewer than 8 terms one
+        # after another, as a sum over the component axis here adds
+        # them; 8 or more in pairwise blocks, which only a sum along a
+        # contiguous copy reproduces.
+        if dim < 8:
+            d2 = np.add.reduce(sq, axis=1)
+        else:
+            d2 = np.add.reduce(np.ascontiguousarray(sq.transpose(0, 2, 1)), axis=2)
+        # the root keeps ties as np.linalg.norm leaves them; the winner's
+        # row of the table is -(squared grid distance) to every unit
+        h = np.exp(table.take(np.sqrt(d2).argmin(axis=1), axis=0) / w2)
+        w += a * h * diff
+
+
+def _neighborhood_table(rows: int, cols: int) -> np.ndarray:
+    """(units, 1, units) table of -(squared grid distance) between units,
+    in the smallest integer type that holds the largest, so it converts
+    exactly to float64."""
+    dtype = np.min_scalar_type(-((rows - 1) ** 2 + (cols - 1) ** 2))
+    r = np.arange(rows, dtype=dtype)
+    c = np.arange(cols, dtype=dtype)
+    neg_r2 = -((r[:, None] - r) ** 2)
+    neg_c2 = -((c[:, None] - c) ** 2)
+    units = rows * cols
+    return (neg_r2[:, None, :, None] + neg_c2[None, :, None, :]).reshape(units, 1, units)
+
+
+def _ramps(scheds: list) -> np.ndarray:
+    """The (5, maps, 1, 1) start and end rates, start and end widths and
+    step budgets of ``scheds``, shaped to broadcast against a step table."""
+    return np.array(
+        [[s.alpha0, s.alpha_final, s.sigma0, s.sigma_final, s.iterations] for s in scheds]
+    ).T.reshape(5, len(scheds), 1, 1)
+
+
+def _schedule_tables(ramps: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each schedule's learning rate and 2 sigma^2 at each of ``steps`` (a
+    column of step numbers), as (steps, maps, 1, 1) tables bitwise equal to
+    ``alpha_at`` and ``2.0 * sigma * sigma`` of ``sigma_at``."""
+    alpha0, alpha_final, sigma0, sigma_final, iterations = ramps
+    t = steps[:, :, None, None]
+    sigma = _ramp(sigma0, sigma_final, t, iterations)
+    return _ramp(alpha0, alpha_final, t, iterations), 2.0 * sigma * sigma
 
 
 def quantization_error(som: SomMap, data) -> float:

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from csomtex import Dataset, Image
+
+# derandomized, so a run draws the same examples every time
+FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
 
 
 def gaussian_blobs(

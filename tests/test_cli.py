@@ -173,6 +173,23 @@ class TestExtract:
             expected = [mask_to_rle(m) for m in select_regions(img, cfg.roi)]
             assert f.read_text().splitlines() == expected, f.name
 
+    @pytest.mark.parametrize("dump, output, keep", [
+        ("masks", "masks", []),  # the CSV cannot replace the mask directory
+        ("a/b", "a", []),  # nor a parent this run made
+        ("masks", "masks", ["masks"]),  # an existing mask directory stays
+    ])
+    def test_failed_write_removes_dumped_masks(self, corpus, tmp_path, capsys, dump, output, keep):
+        for name in keep:
+            (tmp_path / name).mkdir()
+        code, _, err = run(capsys, [
+            "extract", str(corpus / "manifest.txt"), "-o", str(tmp_path / output),
+            "--config", str(corpus / "config.json"), "--dump-masks", str(tmp_path / dump),
+        ])
+        assert code == 2
+        assert "error:" in err
+        # no mask files, no temporary files, only the directories there before
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == keep
+
     def test_missing_image_leaves_no_output(self, corpus, tmp_path, capsys):
         bad = tmp_path / "m.txt"
         bad.write_text("imgs/c0_0.pgm,0\nimgs/nope.pgm,1\n")

@@ -25,9 +25,7 @@ from csomtex.cli import main, read_manifest
 from csomtex.data import dataset_from_csv, dataset_to_csv
 from csomtex.errors import Error
 from csomtex.model_io import fnv1a64, parse_model, serialize_model
-from helpers import gaussian_blobs
-
-FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
+from helpers import FUZZ, gaussian_blobs
 
 
 def _must_not_escape(fn, *args) -> None:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from csomtex import (
     DataError,
@@ -24,8 +26,9 @@ from csomtex import (
     train_maps,
     train_step,
 )
-from csomtex.som import STEP_CHUNK
-from helpers import bits, gaussian_blobs, train_oracle
+from csomtex.evaluation import MAX_MAP_UNITS
+from csomtex.som import STEP_CHUNK, _neighborhood_table, _ramps, _schedule_tables
+from helpers import FUZZ, bits, gaussian_blobs, train_oracle
 
 
 def update_oracle(som: SomMap, x, alpha: float, sigma: float) -> np.ndarray:
@@ -296,27 +299,95 @@ class TestTrainMaps:
         assert train(som, zero, sched).weights[0, 0] == near[0, 0] / 2
 
     def test_distances_summed_in_numpy_order(self):
-        # 16 components: numpy's pairwise sum keeps unit 0's 15 tiny squares,
-        # so its distance rounds above unit 1's, while a running sum drops
-        # them and ties the two, which would hand the win to unit 0
-        near = np.zeros((2, 16))
-        near[:, 0] = 1.0
-        near[0, 1:] = 2.0**-27
-        d = np.linalg.norm(near, axis=1)
-        assert d[0] > d[1] == 1.0
-        running = sum(near[:, j] ** 2 for j in range(16))
-        assert running[0] == running[1]
-        som = SomMap(1, 2, near)
-        zero = np.zeros((1, 16))
-        sched = TrainingSchedule(iterations=1, alpha0=1.0, sigma0=0.1, sigma_final=0.1)
-        self.check([som, som], [zero, zero], [sched, sched])
-        assert (train(som, zero, sched).weights[1] == 0.0).all()  # unit 1 won
+        # numpy's pairwise sum keeps unit 0's tiny squares, so its distance
+        # rounds above unit 1's, while a running sum drops them and leaves
+        # unit 0 no farther, which would hand it the win; 8 is the fewest
+        # components numpy sums pairwise
+        for dim, first, rest, other in [(16, 1.0, 2.0**-27, 1.0), (8, 1.5, 2.0**-26, 1.5 + 2.0**-52)]:
+            near = np.zeros((2, dim))
+            near[:, 0] = first, other
+            near[0, 1:] = rest
+            d = np.linalg.norm(near, axis=1)
+            assert d[0] > d[1]
+            running = np.sqrt(sum(near[:, j] ** 2 for j in range(dim)))
+            assert running[0] <= running[1]
+            som = SomMap(1, 2, near)
+            zero = np.zeros((1, dim))
+            sched = TrainingSchedule(iterations=1, alpha0=1.0, sigma0=0.1, sigma_final=0.1)
+            self.check([som, som], [zero, zero], [sched, sched])
+            assert (train(som, zero, sched).weights[1] == 0.0).all()  # unit 1 won
 
     def test_exactly_equal_distances(self):
         # every unit at the same distance from every row: ties to unit 0
         som = SomMap(2, 2, np.zeros((4, 3)))
         X = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         self.check([som, som.copy()], [X, X[::-1]], [TrainingSchedule(7), TrainingSchedule(5)])
+
+    @FUZZ
+    @given(st.data())
+    def test_random_stacks_match_oracle(self, data):
+        # budgets of 1 and ending about STEP_CHUNK multiples, so the number
+        # of maps still training drops mid-chunk and at chunk edges; grids
+        # up to 4x6 and dims on both sides of the dim-8 summation switch
+        shapes = data.draw(
+            st.lists(st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 11)), min_size=1, max_size=2)
+        )
+        edges = [m * STEP_CHUNK + d for m in (1, 2) for d in (-1, 0, 1)]
+        budget = st.one_of(st.just(1), st.sampled_from(edges), st.integers(1, 2 * STEP_CHUNK + 1))
+        maps, datas, scheds = [], [], []
+        for j in range(data.draw(st.integers(1, 5))):
+            rows, cols, dim = data.draw(st.sampled_from(shapes))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            X = rng.normal(size=(int(rng.integers(1, 9)), dim))
+            alpha0 = data.draw(st.floats(0.0, 1.0))
+            sigma0 = data.draw(st.floats(0.1, 4.0))
+            maps.append(init_map(rows, cols, dim, seed=j, data=X))
+            datas.append(X)
+            scheds.append(
+                TrainingSchedule(
+                    iterations=data.draw(budget),
+                    alpha0=alpha0,
+                    alpha_final=data.draw(st.one_of(st.just(0.0), st.floats(0.0, alpha0))),
+                    sigma0=sigma0,
+                    sigma_final=data.draw(st.one_of(st.just(sigma0), st.floats(0.1, sigma0))),
+                    seed=j,
+                )
+            )
+        self.check(maps, datas, scheds)
+
+    @pytest.mark.parametrize("rows, cols, dtype", [(64, 64, np.int16), (1, MAX_MAP_UNITS, np.int32)])
+    def test_grids_at_the_unit_cap(self, rows, cols, dtype):
+        assert rows * cols == MAX_MAP_UNITS
+        assert _neighborhood_table(rows, cols).dtype == dtype
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(5, 2))
+        som = init_map(rows, cols, 2, seed=1, data=X)
+        sched = TrainingSchedule(iterations=3, sigma0=40.0, sigma_final=2.0, seed=2)
+        self.check([som, som], [X, X[::-1]], [sched, TrainingSchedule(2, sigma0=3.0)])
+
+    def test_neighborhood_table(self):
+        som = SomMap(3, 4, np.zeros((12, 1)))
+        table = _neighborhood_table(3, 4)
+        assert table.shape == (12, 1, 12) and table.dtype == np.int8
+        for w in range(12):
+            for u in range(12):
+                assert math.exp(table[w, 0, u] / 2.0) == neighborhood(som, w, u, 1.0)
+        assert _neighborhood_table(1, 1).tolist() == [[[0]]]
+
+    def test_schedule_tables_match_the_schedules(self):
+        scheds = [
+            TrainingSchedule(iterations=n, alpha0=0.7, alpha_final=af, sigma0=2.5, sigma_final=sf)
+            for n, af, sf in [(1, 0.01, 0.5), (2, 0.0, 2.5), (101, 0.01, 0.5), (STEP_CHUNK + 1, 0.3, 1.7)]
+        ]
+        steps = np.arange(STEP_CHUNK + 1)[:, None]
+        alpha, width = _schedule_tables(_ramps(scheds), steps)
+        assert alpha.shape == width.shape == (steps.size, len(scheds), 1, 1)
+        for j, s in enumerate(scheds):
+            for t in range(s.iterations):
+                sigma = s.sigma_at(t)
+                assert bits(alpha[t, j, 0, 0]) == bits(s.alpha_at(t))
+                assert bits(width[t, j, 0, 0]) == bits(2.0 * sigma * sigma)
+        assert (alpha[0, 0, 0, 0], width[0, 0, 0, 0]) == (0.7, 12.5)  # one step: the start
 
     def test_validation(self):
         som = init_map(2, 2, 3)

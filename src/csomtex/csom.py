@@ -13,10 +13,11 @@ from .som import (
     SomMap,
     TrainingSchedule,
     check_finite,
+    check_vector,
     compose,
     derive_schedule,
-    distances,
     init_map,
+    nearest_units,
     train,
     winning_prototypes,
 )
@@ -100,13 +101,6 @@ def train_csom(data: Dataset, rows: int, cols: int, sched: TrainingSchedule) -> 
     return CsomModel([(cid, train(som, sub, s)) for cid, som, sub, s in jobs])
 
 
-def _error_matrix(model: CsomModel, X: np.ndarray) -> np.ndarray:
-    """(n, n_classes) matrix of per-map BMU distances."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        cols = [distances(X, som.weights).min(axis=1) for _, som in model.entries]
-    return check_finite(np.stack(cols, axis=1))
-
-
 def classify(model: CsomModel, x) -> tuple[int, np.ndarray]:
     """Winner-take-all decision: the class whose map quantizes x best.
 
@@ -116,10 +110,8 @@ def classify(model: CsomModel, x) -> tuple[int, np.ndarray]:
     """
     if model.n_classes < 2:
         raise DataError("classification needs a model with at least 2 class maps")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ShapeError(f"input dimension {x.shape} != model dimension ({model.dim},)")
-    errors = _error_matrix(model, x[None, :])[0]
+    x = check_vector(x, model.dim, "model")
+    errors = check_finite(nearest_units(model.maps, x[None, :])[1])[0]
     return int(model.class_ids[int(np.argmin(errors))]), errors
 
 
@@ -129,7 +121,7 @@ def classify_dataset(model: CsomModel, data: Dataset) -> tuple[np.ndarray, np.nd
         raise DataError("classification needs a model with at least 2 class maps")
     if data.dim != model.dim:
         raise ShapeError(f"input dimension {data.dim} != model dimension {model.dim}")
-    errors = _error_matrix(model, data.X)
+    errors = check_finite(nearest_units(model.maps, data.X)[1])
     preds = model.class_ids[np.argmin(errors, axis=1)]
     return preds, errors
 

@@ -21,6 +21,7 @@ from .fisher import FisherProjection, fit_fisher, project_dataset
 from .som import (
     SomMap,
     TrainingSchedule,
+    _query_chunks,
     compose,
     distances,
     init_map,
@@ -36,9 +37,10 @@ MODES = ("replace", "append")
 
 HOLDOUT_FRACTION = 0.22
 
-# Units of one map grid.  The training engine's grid-distance tables grow as
-# the square of the longer side, so a 4096x1 map already takes 128 MiB; the
-# paper's maps are a few units a side.
+# Units of one map grid.  The training engine's neighbourhood table holds
+# units^2 entries in the smallest integer type that fits, so a 1x4096 map
+# takes 67 MB (int32) and a 64x64 one 33.5 MB (int16); the paper's maps are
+# a few units a side.
 MAX_MAP_UNITS = 4096
 
 
@@ -304,16 +306,6 @@ def _check_knn(train: Dataset, k: int) -> np.ndarray:
     if not 1 <= k <= train.n:
         raise ValueError(f"k must lie in [1, {train.n}], got {k}")
     return labels
-
-
-# The batched classifiers hold at most this many bytes of per-query
-# temporaries at once: (queries, training rows or classes, components).
-BATCH_BYTES = 1 << 22
-
-
-def _query_chunks(n_queries: int, bytes_per_query: int):
-    step = max(1, BATCH_BYTES // max(1, bytes_per_query))
-    return (slice(lo, lo + step) for lo in range(0, n_queries, step))
 
 
 def knn_predict_batch(train: Dataset, X, k: int = 1) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Self-organizing map: prototype grid, BMU and winning-prototype lookup, online training."""
+"""Self-organizing map: prototype grid, nearest-unit query, winning-prototype lookup, online training."""
 
 from __future__ import annotations
 
@@ -109,31 +109,57 @@ def init_map(rows: int, cols: int, dim: int, seed: int = 0, data=None) -> SomMap
     return SomMap(rows, cols, u)
 
 
-def _check_vector(som: SomMap, x: np.ndarray) -> np.ndarray:
+def check_vector(x, dim: int, owner: str = "map") -> np.ndarray:
+    """``x`` as a float64 vector of ``dim`` finite components."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (som.dim,):
-        raise ShapeError(f"input dimension {x.shape} != map dimension ({som.dim},)")
+    if x.shape != (dim,):
+        raise ShapeError(f"input dimension {x.shape} != {owner} dimension ({dim},)")
+    if not np.isfinite(x).all():
+        raise ValueError("feature values must be finite")
     return x
-
-
-def bmu(som: SomMap, x) -> tuple[int, float]:
-    """Best matching unit: index of the Euclidean-nearest prototype and its
-    distance.  Ties go to the lowest unit index."""
-    x = _check_vector(som, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = np.linalg.norm(som.weights - x, axis=1)
-    winner = int(np.argmin(check_finite(d)))
-    return winner, float(d[winner])
 
 
 def distances(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """(n, m) Euclidean distances from each row of X to each row of W.  Each
     sums its squares along the contiguous component axis, so row i is
-    bitwise ``np.linalg.norm(W - X[i], axis=1)``.  Rows far enough from a
-    map overflow them: compute map distances under
-    ``np.errstate(over="ignore", invalid="ignore")`` and pass what is used
-    through ``check_finite``."""
+    bitwise ``np.linalg.norm(W - X[i], axis=1)``."""
     return np.linalg.norm(X[:, None, :] - W[None, :, :], axis=2)
+
+
+# Map queries, k-NN and Gaussian NB take their query rows in chunks whose
+# (rows, map units or training rows or classes, components) float64
+# temporary holds at most this many bytes.
+BATCH_BYTES = 1 << 22
+
+
+def _query_chunks(n_queries: int, bytes_per_query: int):
+    step = max(1, BATCH_BYTES // max(1, bytes_per_query))
+    return (slice(lo, lo + step) for lo in range(0, n_queries, step))
+
+
+def nearest_units(maps, X: np.ndarray, pick=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's nearest unit of each of ``maps`` (grids may differ):
+    ``(unit, nearest, farthest)``, each (n, len(maps)), holding the index of
+    the nearest unit (ties to the lowest), its distance and the distance of
+    the map's farthest unit.  A row with ``pick[i] >= 0`` searches only map
+    ``pick[i]``, any other row every map; the entries of a map a row does not
+    search are unset.  It holds one chunk of rows' distances to one map at
+    a time (see ``BATCH_BYTES``).  Rows far enough from a map overflow its
+    distances, which are left inf: pass what is used through
+    ``check_finite``."""
+    n = X.shape[0]
+    unit = np.empty((n, len(maps)), dtype=np.int64)
+    nearest, farthest = np.empty((2, n, len(maps)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, som in enumerate(maps):
+            rows = np.arange(n) if pick is None else np.flatnonzero((pick < 0) | (pick == m))
+            for chunk in _query_chunks(rows.size, 8 * som.weights.size):
+                r = rows[chunk]
+                d = distances(X[r], som.weights)
+                unit[r, m] = d.argmin(axis=1)
+                nearest[r, m] = d.min(axis=1)
+                farthest[r, m] = d.max(axis=1)
+    return unit, nearest, farthest
 
 
 def check_finite(d: np.ndarray) -> np.ndarray:
@@ -141,6 +167,15 @@ def check_finite(d: np.ndarray) -> np.ndarray:
     if not np.isfinite(d).all():
         raise DataError("feature magnitudes overflow the map distances; rescale the features")
     return d
+
+
+def bmu(som: SomMap, x) -> tuple[int, float]:
+    """Best matching unit: index of the Euclidean-nearest prototype and its
+    distance.  Ties go to the lowest unit index."""
+    x = check_vector(x, som.dim)
+    unit, nearest, farthest = nearest_units([som], x[None, :])
+    check_finite(farthest)
+    return int(unit[0, 0]), float(nearest[0, 0])
 
 
 def neighborhood(som: SomMap, winner: int, unit: int, sigma: float) -> float:
@@ -169,7 +204,7 @@ def train_step(som: SomMap, x, alpha: float, sigma: float) -> SomMap:
         raise ValueError("alpha must lie in [0, 1]")
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    x = _check_vector(som, x)
+    x = check_vector(x, som.dim)
     return train(som, x[None, :], TrainingSchedule(1, alpha, alpha, sigma, sigma))
 
 
@@ -311,9 +346,9 @@ def quantization_error(som: SomMap, data) -> float:
         raise ValueError("data must be non-empty")
     if X.ndim != 2 or X.shape[1] != som.dim:
         raise ShapeError(f"data shape {X.shape} incompatible with map dim {som.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = distances(X, som.weights)
-    return float(check_finite(d).min(axis=1).mean())
+    _, nearest, farthest = nearest_units([som], X)
+    check_finite(farthest)
+    return float(nearest[:, 0].mean())
 
 
 def winning_prototypes(maps, data: Dataset, class_ids=None) -> np.ndarray:
@@ -325,7 +360,7 @@ def winning_prototypes(maps, data: Dataset, class_ids=None) -> np.ndarray:
     takes, or is the nearest distance to a map the row compares."""
     if data.dim != maps[0].dim:
         raise ShapeError(f"input dimension {data.dim} != model dimension {maps[0].dim}")
-    n, X = data.n, data.X
+    n = data.n
     pick = np.full(n, -1)
     if class_ids is not None and data.labels is not None:
         labeled = data.labels != UNLABELED
@@ -334,15 +369,7 @@ def winning_prototypes(maps, data: Dataset, class_ids=None) -> np.ndarray:
             raise DataError(f"no class map for labeled rows of class(es) {missing}")
         pick[labeled] = np.searchsorted(class_ids, data.labels[labeled])
     free = pick < 0
-    unit = np.empty((n, len(maps)), dtype=np.int64)
-    nearest, farthest = np.empty((2, n, len(maps)))
-    for m, som in enumerate(maps):
-        rows = np.flatnonzero(free | (pick == m))
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = distances(X[rows], som.weights)
-        unit[rows, m] = d.argmin(axis=1)
-        nearest[rows, m] = d.min(axis=1)
-        farthest[rows, m] = d.max(axis=1)
+    unit, nearest, farthest = nearest_units(maps, data.X, pick)
     pick[free] = check_finite(nearest[free]).argmin(axis=1)
     taken = np.arange(n), pick
     check_finite(farthest[taken])
@@ -357,16 +384,6 @@ def compose(data: Dataset, prototypes, mode: str) -> Dataset:
         return data
     X = prototypes if mode == "replace" else np.hstack([data.X, prototypes])
     return Dataset(X, None if data.labels is None else data.labels.copy())
-
-
-def replace_with_prototypes(som: SomMap, data: Dataset) -> Dataset:
-    """Quantize every row to its BMU prototype (labels pass through)."""
-    return compose(data, winning_prototypes([som], data), "replace")
-
-
-def append_prototypes(som: SomMap, data: Dataset) -> Dataset:
-    """Concatenate each row with its BMU prototype (labels pass through)."""
-    return compose(data, winning_prototypes([som], data), "append")
 
 
 def derive_schedule(sched: TrainingSchedule, iterations: int, seed: int | None = None) -> TrainingSchedule:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,14 +19,13 @@ from csomtex import (
     classify,
     classify_dataset,
     init_map,
-    replace_with_prototypes,
     split_by_class,
     train,
     train_csom,
     transform_append,
     transform_replace,
 )
-from csomtex.som import derive_schedule
+from csomtex.som import BATCH_BYTES, compose, derive_schedule, winning_prototypes
 from helpers import bits, gaussian_blobs, train_oracle
 
 
@@ -144,6 +145,11 @@ class TestClassify:
         with pytest.raises(ShapeError):
             classify(two_class_model(), [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ValueError, match="^feature values must be finite$"):
+            classify(two_class_model(3), [bad, 0.0, 0.0])
+
     def test_batch_matches_single(self):
         model = two_class_model()
         rng = np.random.default_rng(0)
@@ -213,31 +219,61 @@ class TestTransforms:
         with pytest.raises(DataError, match="9"):
             transform_replace(model, data)
 
-    def test_matches_a_per_row_reference(self):
+    def test_matches_a_per_row_reference(self, monkeypatch):
         # small-integer prototypes and rows, so distances tie across units
         # and maps; a labeled row searches its own map, any other row every
-        # map, the lowest map and unit winning ties
+        # map, the lowest map and unit winning ties.  The last model's maps
+        # have three different grids, and the second pass takes the rows a
+        # few at a time (one a chunk at dimension 9)
         rng = np.random.default_rng(4)
-        for dim in (1, 3, 9):
+        cases = [(dim, [(2, 2)] * 3) for dim in (1, 3, 9)] + [(3, [(2, 2), (1, 3), (3, 1)])]
+        for dim, grids in cases:
             model = CsomModel([
-                (cid, SomMap(2, 2, rng.integers(0, 3, size=(4, dim)).astype(np.float64)))
-                for cid in (0, 2, 5)
+                (cid, SomMap(r, c, rng.integers(0, 3, size=(r * c, dim)).astype(np.float64)))
+                for cid, (r, c) in zip((0, 2, 5), grids)
             ])
             X = rng.integers(0, 3, size=(40, dim)).astype(np.float64)
             labels = rng.choice([UNLABELED, 0, 2, 5], size=40)
+            errors = np.array([
+                [np.linalg.norm(som.weights - x, axis=1).min() for som in model.maps] for x in X
+            ])
+            expects = []
             for data in (Dataset(X, labels), Dataset(X, None)):
                 expect = []
                 for x, label in zip(X, [UNLABELED] * 40 if data.labels is None else labels):
-                    maps = [model.map_for(label)] if label != UNLABELED else [
-                        som for _, som in model.entries
-                    ]
+                    maps = [model.map_for(label)] if label != UNLABELED else model.maps
                     d = [np.linalg.norm(som.weights - x, axis=1) for som in maps]
                     best = int(np.argmin([di.min() for di in d]))
                     expect.append(maps[best].weights[int(np.argmin(d[best]))])
-                replaced = transform_replace(model, data).X
-                np.testing.assert_array_equal(bits(replaced), bits(np.array(expect)))
-                appended = transform_append(model, data).X
-                np.testing.assert_array_equal(bits(appended), bits(np.hstack([X, expect])))
+                expects.append((data, np.array(expect)))
+            for batch_bytes in (BATCH_BYTES, 200):
+                monkeypatch.setattr("csomtex.som.BATCH_BYTES", batch_bytes)
+                preds, got = classify_dataset(model, Dataset(X, None))
+                np.testing.assert_array_equal(bits(got), bits(errors))
+                np.testing.assert_array_equal(preds, model.class_ids[errors.argmin(axis=1)])
+                for data, expect in expects:
+                    replaced = transform_replace(model, data).X
+                    np.testing.assert_array_equal(bits(replaced), bits(expect))
+                    appended = transform_append(model, data).X
+                    np.testing.assert_array_equal(bits(appended), bits(np.hstack([X, expect])))
+
+    def test_queries_hold_bounded_temporaries(self):
+        # one 64x64 map: a (rows, units, components) distance temporary of
+        # all 300 rows would take 59 MB
+        rng = np.random.default_rng(0)
+        model = CsomModel([
+            (0, SomMap(64, 64, rng.random((4096, 6)))),
+            (1, SomMap(1, 1, rng.random((1, 6)))),
+        ])
+        data = Dataset(rng.random((300, 6)), None)
+        for query in (classify_dataset, transform_replace):
+            tracemalloc.start()
+            try:
+                query(model, data)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * BATCH_BYTES, (query.__name__, peak)
 
     def test_overflow_follows_the_map_a_row_takes(self):
         # map 0's second unit is so far out that its distance overflows, but
@@ -256,10 +292,11 @@ class TestTransforms:
                 transform_replace(model, Dataset(x[None], labels))
         out = transform_append(model, Dataset(x[None], np.array([1])))
         np.testing.assert_array_equal(out.X, [[0.5, 0.0, 5.0, 5.0]])
+        row = Dataset(x[None], None)
         with pytest.raises(DataError, match="overflow the map distances"):
-            replace_with_prototypes(model.map_for(0), Dataset(x[None], None))
+            compose(row, winning_prototypes([model.map_for(0)], row), "replace")
         np.testing.assert_array_equal(
-            replace_with_prototypes(model.map_for(1), Dataset(x[None], None)).X, [[5.0, 5.0]]
+            compose(row, winning_prototypes([model.map_for(1)], row), "replace").X, [[5.0, 5.0]]
         )
         # a map out of reach altogether: a row that compares the maps
         # overflows, one labeled with the other class does not

@@ -184,7 +184,7 @@ class TestBatchedClassifiers:
         want_gnb = [gnb.predict(q) for q in queries]
         # 7 queries a chunk, then one query a chunk
         for limit in (7 * 8 * train.n * train.dim, 1):
-            monkeypatch.setattr(evaluation, "BATCH_BYTES", limit)
+            monkeypatch.setattr("csomtex.som.BATCH_BYTES", limit)
             np.testing.assert_array_equal(
                 evaluation.knn_predict_batch(train, queries, 3), want_knn
             )

@@ -16,18 +16,23 @@ from csomtex import (
     ShapeError,
     SomMap,
     TrainingSchedule,
-    append_prototypes,
     bmu,
     init_map,
     neighborhood,
     quantization_error,
-    replace_with_prototypes,
     train,
     train_maps,
     train_step,
 )
 from csomtex.evaluation import MAX_MAP_UNITS
-from csomtex.som import STEP_CHUNK, _neighborhood_table, _ramps, _schedule_tables
+from csomtex.som import (
+    STEP_CHUNK,
+    _neighborhood_table,
+    _ramps,
+    _schedule_tables,
+    compose,
+    winning_prototypes,
+)
 from helpers import FUZZ, bits, gaussian_blobs, train_oracle
 
 
@@ -78,6 +83,12 @@ class TestBmu:
         som = SomMap(2, 2, np.zeros((4, 3)))
         with pytest.raises(DataError, match="overflow the map distances"):
             bmu(som, np.full(3, 1e200))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        som = SomMap(2, 2, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="^feature values must be finite$"):
+            bmu(som, [bad, 0.0, 0.0])
 
 
 class TestNeighborhood:
@@ -419,17 +430,19 @@ class TestPrototypeTransforms:
         rng = np.random.default_rng(2)
         som = SomMap(2, 2, rng.random((4, 3)))
         data = Dataset(rng.random((10, 3)), np.arange(10) % 2)
-        out = replace_with_prototypes(som, data)
+        out = compose(data, winning_prototypes([som], data), "replace")
         assert out.X.shape == (10, 3)
         proto_set = {tuple(w) for w in som.weights}
         assert all(tuple(row) in proto_set for row in out.X)
+        for x, row in zip(data.X, out.X):
+            np.testing.assert_array_equal(row, som.weights[bmu(som, x)[0]])
         np.testing.assert_array_equal(out.labels, data.labels)
 
     def test_append_keeps_original_prefix(self):
         rng = np.random.default_rng(2)
         som = SomMap(2, 2, rng.random((4, 3)))
         data = Dataset(rng.random((10, 3)), None)
-        out = append_prototypes(som, data)
+        out = compose(data, winning_prototypes([som], data), "append")
         assert out.X.shape == (10, 6)
         np.testing.assert_array_equal(out.X[:, :3], data.X)
         assert out.labels is None

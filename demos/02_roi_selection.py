@@ -3,17 +3,19 @@
 Pixelwise mode clusters the intensity histogram with 1-D k-means and emits
 one mask per cluster, so each region collects pixels of similar brightness
 wherever they sit.  Blockwise mode tiles the image with fixed squares.  Both
-produce binary masks; run-length encoding makes them printable and diffable.
+produce one label image, region i holding the pixels labeled i; its regions
+viewed one at a time are binary masks, which run-length encoding makes
+printable and diffable.
 """
 
 import numpy as np
 
-from csomtex import Image, RoiConfig, mask_to_rle, select_regions
+from csomtex import Image, RoiConfig, mask_to_rle, region_labels, region_masks
 
 
-def show_masks(title, img, masks):
+def show_regions(title, labels):
     print(title)
-    for i, mask in enumerate(masks):
+    for i, mask in enumerate(region_masks(labels)):
         print(f"  region {i}: {mask.member.sum()} pixels, rle: {mask_to_rle(mask)}")
         for row in mask.member:
             print("    " + "".join("#" if v else "." for v in row))
@@ -32,8 +34,8 @@ for row in img.pixels:
     print("  " + " ".join(f"{v:3d}" for v in row))
 print()
 
-pixelwise = select_regions(img, RoiConfig(mode="pixelwise", sn=2))
-show_masks("pixelwise (2 intensity clusters):", img, pixelwise)
+pixelwise = region_labels(img, RoiConfig(mode="pixelwise", sn=2))
+show_regions("pixelwise (2 intensity clusters):", pixelwise)
 
-blockwise = select_regions(img, RoiConfig(mode="blockwise", block_size=4))
-show_masks("blockwise (4x4 tiles, row-major):", img, blockwise)
+blockwise = region_labels(img, RoiConfig(mode="blockwise", block_size=4))
+show_regions("blockwise (4x4 tiles, row-major):", blockwise)

@@ -6,13 +6,14 @@ neighborhood width decay linearly, so the map settles.  Quantization error,
 the mean distance from samples to their nearest prototype, tracks progress.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from csomtex import (
     Dataset,
     TrainingSchedule,
     bmu,
-    derive_schedule,
     init_map,
     quantization_error,
     train,
@@ -32,12 +33,12 @@ sched = TrainingSchedule(
 print(f"{som.rows}x{som.cols} map on three point clouds, {sched.iterations} steps")
 print(f"initial quantization error: {quantization_error(som, data):.3f}")
 
-# Train in four quarters to expose the trajectory; chaining derived
+# Train in four quarters to expose the trajectory; chaining shortened
 # schedules this way is only for display, one train() call is the norm.
 done = 0
 for part in range(4):
     chunk = sched.iterations // 4
-    som = train(som, data, derive_schedule(sched, chunk, seed=sched.seed + part))
+    som = train(som, data, replace(sched, iterations=chunk, seed=sched.seed + part))
     done += chunk
     print(f"after {done:4d} steps: qe {quantization_error(som, data):.3f}")
 

@@ -93,15 +93,13 @@ def cmd_extract(args) -> int:
         img = preprocess(img, cfg.preprocess)
         img = quantize(img, cfg.texture.levels)
         regions = region_labels(img, cfg.roi)
-        rows.append(extract_features(img, cfg.roi, cfg.texture, name=name, labels=regions))
+        rows.append(extract_features(img, cfg.roi, cfg.texture, name=name, regions=regions))
         labels.append(label)
         if args.dump_masks:
             text = "".join(mask_to_rle(m) + "\n" for m in region_masks(regions))
             stem = os.path.splitext(os.path.basename(name))[0]
             mask_dumps.append((f"{stem}.masks.txt", text))
-    label_arr = np.array(labels, dtype=np.int64)
-    data = Dataset(np.array(rows), None if (label_arr == UNLABELED).all() else label_arr)
-    csv_text = dataset_to_csv(data)
+    csv_text = dataset_to_csv(Dataset(np.array(rows), labels))
     # what this run makes, removed again if a later write fails
     made_dirs, made_files = [], []
     try:
@@ -192,7 +190,7 @@ def cmd_classify(args) -> int:
 
     data = read_dataset(args.features)
     feats = project_dataset(model.fisher, data)
-    labeled = data.labels is not None
+    labeled = bool((data.labels != UNLABELED).any())
     if labeled:
         header.insert(1, "label")
     lines = [",".join(header + err_cols)]

@@ -3,7 +3,7 @@ prototype feature transforms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .som import (
     check_finite,
     check_vector,
     compose,
-    derive_schedule,
     init_map,
     nearest_units,
     train,
@@ -89,7 +88,7 @@ def class_maps(data: Dataset, rows: int, cols: int, sched: TrainingSchedule) -> 
             cid,
             init_map(rows, cols, sub.dim, seed=sched.seed + cid, data=sub),
             sub,
-            derive_schedule(sched, max(1, round(sched.iterations * sub.n / total))),
+            replace(sched, iterations=max(1, round(sched.iterations * sub.n / total))),
         )
         for cid, sub in groups
     ]
@@ -108,17 +107,19 @@ def classify(model: CsomModel, x) -> tuple[int, np.ndarray]:
     distances (ordered by ascending class id).  Ties break toward the lowest
     class id.
     """
+    _require_classes(model)
+    preds, errors = classify_dataset(model, Dataset(check_vector(x, model.dim, "model")[None, :]))
+    return int(preds[0]), errors[0]
+
+
+def _require_classes(model: CsomModel) -> None:
     if model.n_classes < 2:
         raise DataError("classification needs a model with at least 2 class maps")
-    x = check_vector(x, model.dim, "model")
-    errors = check_finite(nearest_units(model.maps, x[None, :])[1])[0]
-    return int(model.class_ids[int(np.argmin(errors))]), errors
 
 
 def classify_dataset(model: CsomModel, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Batch classify: (predicted labels, per-class error matrix)."""
-    if model.n_classes < 2:
-        raise DataError("classification needs a model with at least 2 class maps")
+    _require_classes(model)
     if data.dim != model.dim:
         raise ShapeError(f"input dimension {data.dim} != model dimension {model.dim}")
     errors = check_finite(nearest_units(model.maps, data.X)[1])

@@ -1,9 +1,9 @@
 """Feature datasets, their CSV serialization, and the package's file I/O.
 
-A dataset is a dense (n, dim) float matrix plus optional integer class
-labels.  The CSV layout is ``f0,...,f{dim-1},label`` with values written at
-17 significant digits so doubles round-trip exactly; an empty label field
-marks an unlabeled row.
+A dataset is a dense (n, dim) float matrix plus one integer class label
+per row, ``UNLABELED`` where a row has none.  The CSV layout is
+``f0,...,f{dim-1},label`` with values written at 17 significant digits so
+doubles round-trip exactly; an empty label field marks an unlabeled row.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ UNLABELED = -1
 @dataclass(eq=False)
 class Dataset:
     X: np.ndarray  # (n, dim) float64
-    labels: np.ndarray | None = None  # (n,) int64, UNLABELED marks a missing label
+    # (n,) int64, UNLABELED marks a missing label; None is made all UNLABELED
+    labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -33,10 +34,11 @@ class Dataset:
             raise ValueError("X must be a (n, dim) matrix with dim >= 1")
         if not np.isfinite(self.X).all():
             raise ValueError("feature values must be finite")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.X.shape[0],):
-                raise ValueError("labels must be one integer per row")
+        if self.labels is None:
+            self.labels = np.full(self.X.shape[0], UNLABELED, dtype=np.int64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.shape != (self.X.shape[0],):
+            raise ValueError("labels must be one integer per row")
 
     @property
     def n(self) -> int:
@@ -49,17 +51,15 @@ class Dataset:
     @property
     def class_ids(self) -> np.ndarray:
         """Distinct labels present, ascending (unlabeled rows excluded)."""
-        if self.labels is None:
-            return np.empty(0, dtype=np.int64)
         return np.unique(self.labels[self.labels != UNLABELED])
 
     def is_fully_labeled(self) -> bool:
-        return self.labels is not None and bool((self.labels != UNLABELED).all())
+        """Some row, and every row, has a label."""
+        return self.n > 0 and bool((self.labels != UNLABELED).all())
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        labels = None if self.labels is None else self.labels[idx]
-        return Dataset(self.X[idx], labels)
+        return Dataset(self.X[idx], self.labels[idx])
 
     def without_labels(self) -> "Dataset":
         return Dataset(self.X)
@@ -67,16 +67,13 @@ class Dataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        if not np.array_equal(self.X, other.X):
-            return False
-        if (self.labels is None) != (other.labels is None):
-            return False
-        return self.labels is None or np.array_equal(self.labels, other.labels)
+        return np.array_equal(self.X, other.X) and np.array_equal(self.labels, other.labels)
 
 
 def require_labels(data: Dataset) -> np.ndarray:
-    """Return the label vector, rejecting datasets with any unlabeled row."""
-    if data.labels is None or (data.labels == UNLABELED).any():
+    """Return the label vector, rejecting datasets with any unlabeled row
+    (or none at all)."""
+    if not data.is_fully_labeled():
         raise DataError("operation requires a fully labeled dataset")
     return data.labels
 
@@ -91,10 +88,7 @@ def dataset_to_csv(data: Dataset) -> str:
     writer.writerow([f"f{i}" for i in range(data.dim)] + ["label"])
     for i in range(data.n):
         row = [format_value(v) for v in data.X[i]]
-        if data.labels is not None and data.labels[i] != UNLABELED:
-            row.append(str(int(data.labels[i])))
-        else:
-            row.append("")
+        row.append("" if data.labels[i] == UNLABELED else str(int(data.labels[i])))
         writer.writerow(row)
     return buf.getvalue()
 
@@ -119,7 +113,6 @@ def dataset_from_csv(text: str) -> Dataset:
         raise FormatError("dataset CSV feature columns must be named f0..f{dim-1}")
     X = np.empty((len(rows) - 1, dim), dtype=np.float64)
     labels = np.full(len(rows) - 1, UNLABELED, dtype=np.int64)
-    any_label = False
     for i, row in enumerate(rows[1:]):
         if len(row) != dim + 1:
             raise FormatError(f"dataset CSV row {i + 1} has {len(row)} fields, expected {dim + 1}")
@@ -132,9 +125,8 @@ def dataset_from_csv(text: str) -> Dataset:
                 labels[i] = int(row[dim])
             except ValueError:
                 raise FormatError(f"non-integer label in dataset CSV row {i + 1}") from None
-            any_label = True
     try:
-        return Dataset(X, labels if any_label else None)
+        return Dataset(X, labels)
     except ValueError as exc:
         raise FormatError(f"invalid dataset CSV: {exc}") from exc
 

@@ -149,14 +149,10 @@ class FittedPipeline:
         return self.som is not None
 
     @classmethod
-    def fit(
-        cls, data: Dataset, cfg: ExperimentConfig, fisher: FisherProjection | None = None
-    ) -> "FittedPipeline":
-        """Fit the projection (unless one is given) and the map(s) that
-        ``cfg.pipeline`` names on a labeled dataset."""
-        if fisher is None:
-            fisher = fit_fisher(data, cfg.fisher_dim)
-        return fit_pipelines([(data, cfg, fisher)])[0]
+    def fit(cls, data: Dataset, cfg: ExperimentConfig) -> "FittedPipeline":
+        """Fit the projection and the map(s) that ``cfg.pipeline`` names on a
+        labeled dataset."""
+        return fit_pipelines([(data, cfg, fit_fisher(data, cfg.fisher_dim))])[0]
 
     def lookup(self, data: Dataset) -> tuple:
         """``(projected rows, their winning prototypes)``, the prototypes None
@@ -301,8 +297,6 @@ def knn_predict(train: Dataset, x, k: int = 1) -> int:
 
 def _check_knn(train: Dataset, k: int) -> np.ndarray:
     labels = require_labels(train)
-    if train.n == 0:
-        raise ValueError("training set must be non-empty")
     if not 1 <= k <= train.n:
         raise ValueError(f"k must lie in [1, {train.n}], got {k}")
     return labels

@@ -156,10 +156,12 @@ def _apply(proj: FisherProjection, X: np.ndarray) -> np.ndarray:
 
 
 def project(proj: FisherProjection, x) -> np.ndarray:
-    """Project a single vector: lda^T pca^T (x - mean)."""
+    """Project a single vector of finite values: lda^T pca^T (x - mean)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (proj.input_dim,):
         raise ShapeError(f"vector dimension {x.shape} != expected ({proj.input_dim},)")
+    if not np.isfinite(x).all():
+        raise ValueError("feature values must be finite")
     return _apply(proj, x)
 
 
@@ -167,7 +169,7 @@ def project_dataset(proj: FisherProjection, data: Dataset) -> Dataset:
     """Project every row; labels pass through unchanged."""
     if data.dim != proj.input_dim:
         raise ShapeError(f"dataset dimension {data.dim} != expected {proj.input_dim}")
-    return Dataset(_apply(proj, data.X), None if data.labels is None else data.labels.copy())
+    return Dataset(_apply(proj, data.X), data.labels.copy())
 
 
 def fisher_criteria(proj: FisherProjection, data: Dataset) -> np.ndarray:

@@ -148,21 +148,6 @@ def region_masks(labels: np.ndarray):
         yield RegionMask(labels == i)
 
 
-def pixelwise_segments(img: Image, sn: int, min_region_pixels: int = 1) -> list[RegionMask]:
-    """The regions of pixelwise_labels as masks."""
-    return list(region_masks(pixelwise_labels(img, sn, min_region_pixels)))
-
-
-def blockwise_partition(img: Image, block_size: int) -> list[RegionMask]:
-    """The regions of blockwise_labels as masks."""
-    return list(region_masks(blockwise_labels(img, block_size)))
-
-
-def select_regions(img: Image, cfg: RoiConfig) -> list[RegionMask]:
-    """The regions of region_labels as masks."""
-    return list(region_masks(region_labels(img, cfg)))
-
-
 def mask_to_rle(mask: RegionMask) -> str:
     """Run-length encode a mask as one text line: ``width height run0 run1 ...``.
 

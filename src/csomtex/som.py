@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,10 +83,15 @@ def _ramp(start, end, t, iterations):
     return start + (end - start) * t / np.maximum(iterations - 1, 1)
 
 
-def _data_matrix(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.X
-    return np.asarray(data, dtype=np.float64)
+def _map_rows(data, dim: int) -> np.ndarray:
+    """The rows of ``data`` for a map of dimension ``dim``.  A matrix is
+    made a Dataset first, so its values are checked as a Dataset's are."""
+    X = (data if isinstance(data, Dataset) else Dataset(data)).X
+    if X.shape[0] == 0:
+        raise ValueError("data must be non-empty")
+    if X.shape[1] != dim:
+        raise ShapeError(f"data shape {X.shape} incompatible with map dim {dim}")
+    return X
 
 
 def init_map(rows: int, cols: int, dim: int, seed: int = 0, data=None) -> SomMap:
@@ -100,9 +105,7 @@ def init_map(rows: int, cols: int, dim: int, seed: int = 0, data=None) -> SomMap
     rng = np.random.default_rng(seed)
     u = rng.random((rows * cols, dim))
     if data is not None:
-        X = _data_matrix(data)
-        if X.shape[1] != dim:
-            raise ShapeError(f"data dimension {X.shape[1]} != map dimension {dim}")
+        X = _map_rows(data, dim)
         lo = X.min(axis=0)
         hi = X.max(axis=0)
         u = lo + u * (hi - lo)
@@ -218,15 +221,6 @@ def train(som: SomMap, data, sched: TrainingSchedule) -> SomMap:
     return train_maps([som], [data], [sched])[0]
 
 
-def _training_matrix(som: SomMap, data) -> np.ndarray:
-    X = _data_matrix(data)
-    if X.shape[0] == 0:
-        raise ValueError("training data must be non-empty")
-    if X.ndim != 2 or X.shape[1] != som.dim:
-        raise ShapeError(f"data shape {X.shape} incompatible with map dim {som.dim}")
-    return X
-
-
 def train_maps(maps, datas, scheds) -> list[SomMap]:
     """Train ``maps[j]`` on ``datas[j]`` under ``scheds[j]``, all maps in one
     online loop; the input maps are left unchanged.
@@ -241,7 +235,7 @@ def train_maps(maps, datas, scheds) -> list[SomMap]:
     maps, datas, scheds = list(maps), list(datas), list(scheds)
     if not len(maps) == len(datas) == len(scheds):
         raise ValueError("train_maps needs one data set and one schedule per map")
-    Xs = [_training_matrix(som, data) for som, data in zip(maps, datas)]
+    Xs = [_map_rows(data, som.dim) for som, data in zip(maps, datas)]
     stacks = {}
     for j, som in enumerate(maps):
         stacks.setdefault((som.rows, som.cols, som.dim), []).append(j)
@@ -341,12 +335,7 @@ def _schedule_tables(ramps: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, 
 
 def quantization_error(som: SomMap, data) -> float:
     """Mean BMU distance over the dataset rows."""
-    X = _data_matrix(data)
-    if X.shape[0] == 0:
-        raise ValueError("data must be non-empty")
-    if X.ndim != 2 or X.shape[1] != som.dim:
-        raise ShapeError(f"data shape {X.shape} incompatible with map dim {som.dim}")
-    _, nearest, farthest = nearest_units([som], X)
+    _, nearest, farthest = nearest_units([som], _map_rows(data, som.dim))
     check_finite(farthest)
     return float(nearest[:, 0].mean())
 
@@ -362,7 +351,7 @@ def winning_prototypes(maps, data: Dataset, class_ids=None) -> np.ndarray:
         raise ShapeError(f"input dimension {data.dim} != model dimension {maps[0].dim}")
     n = data.n
     pick = np.full(n, -1)
-    if class_ids is not None and data.labels is not None:
+    if class_ids is not None:
         labeled = data.labels != UNLABELED
         missing = sorted(set(data.labels[labeled].tolist()) - set(class_ids.tolist()))
         if missing:
@@ -383,13 +372,4 @@ def compose(data: Dataset, prototypes, mode: str) -> Dataset:
     if prototypes is None:
         return data
     X = prototypes if mode == "replace" else np.hstack([data.X, prototypes])
-    return Dataset(X, None if data.labels is None else data.labels.copy())
-
-
-def derive_schedule(sched: TrainingSchedule, iterations: int, seed: int | None = None) -> TrainingSchedule:
-    """Same endpoints, different step budget (and optionally seed)."""
-    return replace(
-        sched,
-        iterations=max(1, iterations),
-        seed=sched.seed if seed is None else seed,
-    )
+    return Dataset(X, data.labels.copy())

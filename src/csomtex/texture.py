@@ -177,7 +177,7 @@ def extract_features(
     roi_cfg: RoiConfig,
     tex_cfg: TextureConfig,
     name: str = "",
-    labels: np.ndarray | None = None,
+    regions: np.ndarray | None = None,
 ) -> np.ndarray:
     """Assemble one texture vector for a quantized image.
 
@@ -187,16 +187,16 @@ def extract_features(
     computed, every region of an offset in one count.  Pixelwise mode
     concatenates the per-region blocks, zero-padded to exactly ``sn``
     regions; blockwise mode averages each feature across blocks.
-    ``labels`` is ``region_labels(img, roi_cfg)`` when the caller has it.
+    ``regions`` is ``region_labels(img, roi_cfg)`` when the caller has it.
     """
     if img.max_value != tex_cfg.levels - 1:
         raise ShapeError(
             f"image has max_value {img.max_value}; expected a quantized image "
             f"with {tex_cfg.levels} levels"
         )
-    if labels is None:
-        labels = region_labels(img, roi_cfg)
-    n_regions = int(labels.max()) + 1
+    if regions is None:
+        regions = region_labels(img, roi_cfg)
+    n_regions = int(regions.max()) + 1
     if n_regions == 0:
         raise DataError(f"no usable regions in image {name or f'{img.width}x{img.height}'}")
 
@@ -209,7 +209,7 @@ def extract_features(
     for lo in range(0, n_regions, chunk):
         hi = min(lo + chunk, n_regions)
         for j, off in enumerate(tex_cfg.offsets):
-            counts = _region_counts(img, labels, lo, hi, off, tex_cfg.symmetric)
+            counts = _region_counts(img, regions, lo, hi, off, tex_cfg.symmetric)
             cols = slice(j * FEATURES_PER_GLCM, (j + 1) * FEATURES_PER_GLCM)
             blocks[lo:hi, cols] = _haralick_rows(counts, diff2)
 

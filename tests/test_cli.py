@@ -20,8 +20,9 @@ from csomtex import (
     mask_to_rle,
     preprocess,
     quantize,
+    region_labels,
+    region_masks,
     save_pgm,
-    select_regions,
 )
 from csomtex.cli import main, read_manifest
 from csomtex.config import ToolConfig, load_config
@@ -170,7 +171,7 @@ class TestExtract:
         for f in files:
             img = load_pgm((corpus / "imgs" / f.name.replace(".masks.txt", ".pgm")).read_bytes())
             img = quantize(preprocess(img, cfg.preprocess), cfg.texture.levels)
-            expected = [mask_to_rle(m) for m in select_regions(img, cfg.roi)]
+            expected = [mask_to_rle(m) for m in region_masks(region_labels(img, cfg.roi))]
             assert f.read_text().splitlines() == expected, f.name
 
     @pytest.mark.parametrize("dump, output, keep", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from csomtex import (
     transform_append,
     transform_replace,
 )
-from csomtex.som import BATCH_BYTES, compose, derive_schedule, winning_prototypes
+from csomtex.som import BATCH_BYTES, compose, winning_prototypes
 from helpers import bits, gaussian_blobs, train_oracle
 
 
@@ -82,7 +83,7 @@ class TestTrainCsom:
             sub = groups[cid]
             share = max(1, round(sched.iterations * sub.n / data.n))
             som = init_map(2, 2, 3, seed=sched.seed + cid, data=sub)
-            expect = train(som, sub, derive_schedule(sched, share))
+            expect = train(som, sub, replace(sched, iterations=share))
             np.testing.assert_array_equal(model.map_for(cid).weights, expect.weights)
 
     def test_iteration_budget_is_conserved(self):
@@ -186,7 +187,7 @@ class TestTransforms:
         out = transform_replace(model, data)
         np.testing.assert_array_equal(out.X[0], [10.0, 10.0])
         np.testing.assert_array_equal(out.X[1], [0.0, 0.0])
-        assert out.labels is None
+        assert (out.labels == UNLABELED).all()
 
     def test_mixed_labels(self):
         model = two_class_model()
@@ -240,7 +241,7 @@ class TestTransforms:
             expects = []
             for data in (Dataset(X, labels), Dataset(X, None)):
                 expect = []
-                for x, label in zip(X, [UNLABELED] * 40 if data.labels is None else labels):
+                for x, label in zip(X, data.labels):
                     maps = [model.map_for(label)] if label != UNLABELED else model.maps
                     d = [np.linalg.norm(som.weights - x, axis=1) for som in maps]
                     best = int(np.argmin([di.min() for di in d]))

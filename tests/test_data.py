@@ -43,7 +43,7 @@ class TestDataset:
         s = d.subset([2, 0])
         np.testing.assert_array_equal(s.X, [[4.0, 5.0], [0.0, 1.0]])
         assert s.labels.tolist() == [0, 0]
-        assert d.without_labels().labels is None
+        assert (d.without_labels().labels == UNLABELED).all()
 
     def test_require_labels(self):
         with pytest.raises(DataError):
@@ -66,7 +66,7 @@ class TestCsv:
 
     def test_fully_unlabeled_loads_as_none(self):
         d = dataset_from_csv("f0,label\n1,\n2,\n")
-        assert d.labels is None
+        assert d.labels.tolist() == [UNLABELED, UNLABELED]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), dim=st.integers(1, 6))
@@ -77,6 +77,28 @@ class TestCsv:
         d = Dataset(X, None if (labels == UNLABELED).all() else labels)
         back = dataset_from_csv(dataset_to_csv(d))
         assert back == d
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        kind=st.sampled_from(["labeled", "unlabeled", "mixed"]),
+        data=st.data(),
+    )
+    def test_csv_text_round_trips_byte_for_byte(self, dim, kind, data):
+        value = st.floats(allow_nan=False, allow_infinity=False).map(format_value)
+        label = {
+            "labeled": st.integers(0, 10**6).map(str),
+            "unlabeled": st.just(""),
+            "mixed": st.one_of(st.just(""), st.integers(0, 10**6).map(str)),
+        }[kind]
+        row = st.tuples(st.lists(value, min_size=dim, max_size=dim), label)
+        rows = data.draw(st.lists(row, max_size=8))
+        text = ",".join([f"f{i}" for i in range(dim)] + ["label"]) + "\n"
+        text += "".join(",".join(values + [lab]) + "\n" for values, lab in rows)
+        d = dataset_from_csv(text)
+        assert d.labels.dtype == np.int64 and d.labels.shape == (len(rows),)
+        assert d.labels.tolist() == [int(lab) if lab else UNLABELED for _, lab in rows]
+        assert dataset_to_csv(d) == text
 
     def test_17g_round_trip_extremes(self):
         vals = [0.1, 1.0 / 3.0, -0.0, 1e-308, 1.7976931348623157e308]

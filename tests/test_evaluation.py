@@ -14,6 +14,7 @@ from csomtex import (
     ExperimentConfig,
     FittedPipeline,
     HOLDOUT_FRACTION,
+    UNLABELED,
     fit_fold,
     gnb_fit,
     holdout_split,
@@ -27,7 +28,7 @@ from csomtex import (
 )
 from csomtex import evaluation
 from csomtex.evaluation import MAX_MAP_UNITS, run_experiments
-from csomtex.som import derive_schedule, distances
+from csomtex.som import distances
 from helpers import bits, gaussian_blobs, train_oracle
 
 
@@ -336,9 +337,9 @@ class TestFittedPipeline:
         raw = FittedPipeline.fit(data, ExperimentConfig(pipeline="raw"))
         assert raw.csom is None and raw.som is None
         np.testing.assert_array_equal(raw.transform(data).X, raw.transform(data, "append").X)
-        pooled = FittedPipeline.fit(
-            data, ExperimentConfig(pipeline="som-append", map_rows=2, map_cols=2), raw.fisher
-        )
+        pooled = evaluation.fit_pipelines(
+            [(data, ExperimentConfig(pipeline="som-append", map_rows=2, map_cols=2), raw.fisher)]
+        )[0]
         assert pooled.single_som and pooled.mode == "append" and pooled.fisher is raw.fisher
         assert pooled.transform(data).dim == 4
         assert pooled.transform(data, "replace").dim == 2
@@ -371,7 +372,8 @@ class TestFittedPipeline:
                 for (cid, som), (_, som_alone), (_, sub) in zip(
                     fitted.csom.entries, alone.csom.entries, split_by_class(z)
                 ):
-                    share = derive_schedule(sched, round(sched.iterations * sub.n / z.n))
+                    budget = max(1, round(sched.iterations * sub.n / z.n))
+                    share = replace(sched, iterations=budget)
                     init = init_map(2, 3, z.dim, seed=cfg.seed + cid, data=sub)
                     cases.append((som, som_alone, train_oracle(init, sub, share)))
             for som, som_alone, expect in cases:
@@ -420,7 +422,7 @@ class TestRunExperiments:
         lookup = FittedPipeline.lookup
 
         def counted_lookup(self, split):
-            lookups.append((split.X.tobytes(), split.labels is not None))
+            lookups.append((split.X.tobytes(), not (split.labels == UNLABELED).all()))
             return lookup(self, split)
 
         gnb_fits = []

@@ -197,6 +197,14 @@ class TestProject:
         with pytest.raises(ShapeError):
             project_dataset(proj, Dataset(np.zeros((2, 4)), None))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        proj = fit_fisher(three_class_5d(), dim=2)
+        x = np.zeros(5)
+        x[2] = bad
+        with pytest.raises(ValueError, match="^feature values must be finite$"):
+            project(proj, x)
+
     def test_projection_type_validation(self):
         with pytest.raises(ValueError):
             FisherProjection(np.zeros(3), np.zeros((4, 2)), np.zeros((2, 1)))

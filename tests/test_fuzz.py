@@ -95,7 +95,7 @@ def test_dataset_from_csv(text):
 def _model_text() -> str:
     data = gaussian_blobs([4, 4, 4], dim=3, seed=1)
     cfg = ExperimentConfig(map_rows=1, map_cols=2, steps_per_sample=2)
-    return serialize_model(FittedPipeline.fit(data, cfg, None))
+    return serialize_model(FittedPipeline.fit(data, cfg))
 
 
 _MODEL = _model_text()

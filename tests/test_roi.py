@@ -12,12 +12,12 @@ from csomtex import (
     Image,
     RegionMask,
     RoiConfig,
-    blockwise_partition,
     mask_from_rle,
     mask_to_rle,
-    pixelwise_segments,
-    select_regions,
+    region_labels,
+    region_masks,
 )
+from csomtex.roi import blockwise_labels, pixelwise_labels
 from helpers import image_from
 
 
@@ -40,7 +40,7 @@ def kmeans2_oracle(values: np.ndarray) -> np.ndarray:
 class TestPixelwise:
     def test_two_valued_image_splits_exactly(self):
         img = image_from([[0, 255, 0], [255, 0, 255]])
-        masks = pixelwise_segments(img, 2)
+        masks = list(region_masks(pixelwise_labels(img, 2)))
         assert len(masks) == 2
         assert np.array_equal(masks[0].member, img.pixels == 0)
         assert np.array_equal(masks[1].member, img.pixels == 255)
@@ -48,7 +48,7 @@ class TestPixelwise:
     def test_uniform_ramp_boundary(self):
         # 0..99 uniform: the optimal 2-means split is at 50.
         img = Image(np.arange(100).reshape(10, 10), 255)
-        masks = pixelwise_segments(img, 2)
+        masks = list(region_masks(pixelwise_labels(img, 2)))
         assert len(masks) == 2
         assert np.array_equal(masks[0].member, img.pixels <= 49)
         assert np.array_equal(masks[1].member, img.pixels >= 50)
@@ -60,20 +60,20 @@ class TestPixelwise:
                 [rng.integers(0, 60, size=30), rng.integers(120, 256, size=34)]
             )
             img = Image(vals.reshape(8, 8), 255)
-            masks = pixelwise_segments(img, 2)
+            masks = list(region_masks(pixelwise_labels(img, 2)))
             oracle_hi = kmeans2_oracle(vals).reshape(8, 8)
             assert np.array_equal(masks[1].member, oracle_hi)
 
     def test_single_intensity_gives_one_mask(self):
         img = image_from([[9, 9], [9, 9]])
-        masks = pixelwise_segments(img, 6)
+        masks = list(region_masks(pixelwise_labels(img, 6)))
         assert len(masks) == 1
         assert masks[0].member.all()
 
     def test_masks_ordered_by_centroid(self):
         rng = np.random.default_rng(5)
         img = Image(rng.integers(0, 256, size=(16, 16)), 255)
-        masks = pixelwise_segments(img, 4)
+        masks = list(region_masks(pixelwise_labels(img, 4)))
         means = [img.pixels[m.member].mean() for m in masks]
         assert means == sorted(means)
 
@@ -81,15 +81,15 @@ class TestPixelwise:
         vals = np.full((6, 6), 10)
         vals[0, 0] = 250
         img = Image(vals, 255)
-        assert len(pixelwise_segments(img, 2, min_region_pixels=1)) == 2
-        assert len(pixelwise_segments(img, 2, min_region_pixels=2)) == 1
+        assert len(list(region_masks(pixelwise_labels(img, 2, min_region_pixels=1)))) == 2
+        assert len(list(region_masks(pixelwise_labels(img, 2, min_region_pixels=2)))) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), sn=st.integers(1, 8))
     def test_partition_property(self, seed, sn):
         rng = np.random.default_rng(seed)
         img = Image(rng.integers(0, 32, size=(9, 7)), 31)
-        masks = pixelwise_segments(img, sn, min_region_pixels=1)
+        masks = list(region_masks(pixelwise_labels(img, sn, min_region_pixels=1)))
         total = np.zeros((9, 7), dtype=int)
         for m in masks:
             total += m.member
@@ -97,13 +97,13 @@ class TestPixelwise:
 
     def test_sn_below_one_rejected(self):
         with pytest.raises(ValueError):
-            pixelwise_segments(image_from([[1]]), 0)
+            pixelwise_labels(image_from([[1]]), 0)
 
 
 class TestBlockwise:
     def test_row_major_tiling_discards_partials(self):
         img = Image(np.zeros((5, 7), dtype=np.int64), 255)
-        masks = blockwise_partition(img, 2)
+        masks = list(region_masks(blockwise_labels(img, 2)))
         assert len(masks) == 2 * 3
         # first block is the top-left 2x2, next moves right
         assert masks[0].member[:2, :2].all() and masks[0].size == 4
@@ -117,20 +117,20 @@ class TestBlockwise:
 
     def test_image_smaller_than_block(self):
         with pytest.raises(ValueError, match="smaller"):
-            blockwise_partition(Image(np.zeros((3, 9), dtype=np.int64), 255), 4)
+            blockwise_labels(Image(np.zeros((3, 9), dtype=np.int64), 255), 4)
 
     def test_block_size_validation(self):
         with pytest.raises(ValueError):
-            blockwise_partition(image_from([[1]]), 1)
+            blockwise_labels(image_from([[1]]), 1)
 
 
 class TestSelectRegions:
     def test_dispatch(self):
         img = Image(np.arange(64).reshape(8, 8) * 4, 255)
-        pix = select_regions(img, RoiConfig(mode="pixelwise", sn=2, min_region_pixels=1))
-        blk = select_regions(img, RoiConfig(mode="blockwise", block_size=4))
-        assert len(pix) == 2
-        assert len(blk) == 4
+        pix = region_labels(img, RoiConfig(mode="pixelwise", sn=2, min_region_pixels=1))
+        blk = region_labels(img, RoiConfig(mode="blockwise", block_size=4))
+        assert len(list(region_masks(pix))) == 2
+        assert len(list(region_masks(blk))) == 4
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from csomtex import (
     ShapeError,
     SomMap,
     TrainingSchedule,
+    UNLABELED,
     bmu,
     init_map,
     neighborhood,
@@ -208,6 +209,12 @@ class TestInitMap:
         with pytest.raises(ShapeError):
             init_map(2, 2, 3, data=np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        # a raw matrix is checked as a Dataset is, not blamed on the prototypes
+        with pytest.raises(ValueError, match="^feature values must be finite$"):
+            init_map(2, 2, 3, data=np.array([[bad, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+
 
 class TestTrain:
     def test_returns_new_map_and_is_deterministic(self):
@@ -246,6 +253,13 @@ class TestTrain:
         som = init_map(2, 2, 3)
         with pytest.raises(ValueError):
             train(som, np.zeros((0, 3)), TrainingSchedule(iterations=10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        som = init_map(2, 2, 3)
+        X = np.array([[0.5, 0.5, 0.5], [bad, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="^feature values must be finite$"):
+            train(som, X, TrainingSchedule(iterations=10))
 
 
 class TestTrainMaps:
@@ -410,6 +424,13 @@ class TestTrainMaps:
         with pytest.raises(ShapeError):
             train_maps([som], [np.zeros((2, 4))], [sched])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        som = init_map(2, 2, 3)
+        good, bad_rows = np.zeros((2, 3)), np.array([[0.5, 0.5, 0.5], [bad, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="^feature values must be finite$"):
+            train_maps([som, som], [good, bad_rows], [TrainingSchedule(iterations=10)] * 2)
+
 
 class TestQuantizationError:
     def test_mean_bmu_distance_oracle(self):
@@ -423,6 +444,12 @@ class TestQuantizationError:
         som = SomMap(2, 2, np.zeros((4, 3)))
         with pytest.raises(DataError, match="overflow the map distances"):
             quantization_error(som, np.full((2, 3), 1e200))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        som = SomMap(2, 2, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="^feature values must be finite$"):
+            quantization_error(som, np.array([[bad, 0.0, 0.0]]))
 
 
 class TestPrototypeTransforms:
@@ -445,4 +472,4 @@ class TestPrototypeTransforms:
         out = compose(data, winning_prototypes([som], data), "append")
         assert out.X.shape == (10, 6)
         np.testing.assert_array_equal(out.X[:, :3], data.X)
-        assert out.labels is None
+        assert (out.labels == UNLABELED).all()

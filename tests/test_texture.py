@@ -21,7 +21,8 @@ from csomtex import (
     extract_features,
     feature_length,
     haralick4,
-    select_regions,
+    region_labels,
+    region_masks,
 )
 from helpers import image_from, random_image
 
@@ -215,7 +216,7 @@ class TestExtractFeatures:
 def features_oracle(img: Image, roi: RoiConfig, tex: TextureConfig) -> np.ndarray:
     """extract_features composed per region: one cooccurrence + haralick4
     per mask and offset, then the blockwise mean or the pixelwise padding."""
-    masks = select_regions(img, roi)
+    masks = list(region_masks(region_labels(img, roi)))
     per_region = 4 * len(tex.offsets)
     blocks = np.zeros((len(masks), per_region), dtype=np.float64)
     for mi, mask in enumerate(masks):
@@ -259,7 +260,7 @@ class TestBatchedMatchesPerRegion:
                 # sn above the distinct levels, or dropped segments, pads with zeros
                 roi = RoiConfig(mode, sn=int(rng.integers(1, 9)),
                                 min_region_pixels=int(rng.integers(1, 25)))
-                if not select_regions(img, roi):
+                if region_labels(img, roi).max() < 0:  # no region kept
                     with pytest.raises(DataError):
                         extract_features(img, roi, tex)
                     continue

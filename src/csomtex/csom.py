@@ -7,13 +7,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, require_labels
+from .data import Dataset, check_vector, require_labels
 from .errors import DataError, ShapeError
 from .som import (
     SomMap,
     TrainingSchedule,
     check_finite,
-    check_vector,
     compose,
     init_map,
     nearest_units,

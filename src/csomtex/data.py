@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, ShapeError
 
 UNLABELED = -1
 
@@ -39,6 +39,8 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.shape != (self.X.shape[0],):
             raise ValueError("labels must be one integer per row")
+        if (self.labels < UNLABELED).any():
+            raise ValueError(f"labels must be >= 0, or UNLABELED ({UNLABELED}) for none")
 
     @property
     def n(self) -> int:
@@ -68,6 +70,16 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return np.array_equal(self.X, other.X) and np.array_equal(self.labels, other.labels)
+
+
+def check_vector(x, dim: int, owner: str = "map") -> np.ndarray:
+    """``x`` as a float64 vector of ``dim`` finite components."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (dim,):
+        raise ShapeError(f"input dimension {x.shape} != {owner} dimension ({dim},)")
+    if not np.isfinite(x).all():
+        raise ValueError("feature values must be finite")
+    return x
 
 
 def require_labels(data: Dataset) -> np.ndarray:
@@ -125,6 +137,10 @@ def dataset_from_csv(text: str) -> Dataset:
                 labels[i] = int(row[dim])
             except ValueError:
                 raise FormatError(f"non-integer label in dataset CSV row {i + 1}") from None
+            if labels[i] < 0:
+                raise FormatError(
+                    f"negative label in dataset CSV row {i + 1}; class ids must be >= 0"
+                )
     try:
         return Dataset(X, labels)
     except ValueError as exc:

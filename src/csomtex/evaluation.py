@@ -236,8 +236,7 @@ def kfold_split(data: Dataset, k: int, seed: int = 0) -> list[tuple[Dataset, Dat
     for cid in np.unique(labels):
         idx = np.flatnonzero(labels == cid)
         idx = idx[rng.permutation(idx.size)]
-        for j, row in enumerate(idx):
-            fold_of[row] = (start + j) % k
+        fold_of[idx] = (start + np.arange(idx.size)) % k
         start = (start + idx.size) % k
     splits = []
     for f in range(k):
@@ -283,29 +282,19 @@ def holdout_split(
 
 
 def knn_predict(train: Dataset, x, k: int = 1) -> int:
-    """Majority label among the k nearest training rows.
-
-    Distance ties resolve by lower row index; vote ties by lowest class id.
-    """
-    labels = _check_knn(train, k)
-    x = np.asarray(x, dtype=np.float64)
-    d = np.linalg.norm(train.X - x, axis=1)
-    nearest = np.argsort(d, kind="stable")[:k]
-    votes, counts = np.unique(labels[nearest], return_counts=True)
-    return int(votes[int(np.argmax(counts))])
-
-
-def _check_knn(train: Dataset, k: int) -> np.ndarray:
-    labels = require_labels(train)
-    if not 1 <= k <= train.n:
-        raise ValueError(f"k must lie in [1, {train.n}], got {k}")
-    return labels
+    """``knn_predict_batch`` of the one query ``x``."""
+    return int(knn_predict_batch(train, np.asarray(x, dtype=np.float64).reshape(1, -1), k)[0])
 
 
 def knn_predict_batch(train: Dataset, X, k: int = 1) -> np.ndarray:
-    """``knn_predict`` for every row of ``X`` (n, dim): the same distances
-    bit for bit, and the same ties broken the same way."""
-    labels = _check_knn(train, k)
+    """Majority label among the k nearest training rows, for every row of
+    ``X`` (n, dim).
+
+    Distance ties resolve by lower row index; vote ties by lowest class id.
+    """
+    labels = require_labels(train)
+    if not 1 <= k <= train.n:
+        raise ValueError(f"k must lie in [1, {train.n}], got {k}")
     X = np.asarray(X, dtype=np.float64)
     classes, pos = np.unique(labels, return_inverse=True)
     out = np.empty(X.shape[0], dtype=np.int64)
@@ -327,23 +316,20 @@ class GaussianNbModel:
     variances: np.ndarray  # (n_classes, dim), floored
 
     def predict(self, x) -> int:
-        x = np.asarray(x, dtype=np.float64)
-        ll = self.log_priors + (
-            -0.5 * (np.log(2.0 * np.pi * self.variances) + (x - self.means) ** 2 / self.variances)
-        ).sum(axis=1)
-        return int(self.class_ids[int(np.argmax(ll))])
+        """``predict_batch`` of the one row ``x``."""
+        return int(self.predict_batch(np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
 
     def _log_likelihoods(self, X: np.ndarray) -> np.ndarray:
         """(n, classes) log-likelihoods.  One (n, classes, dim) array summed
-        along its contiguous last axis, so row i is bitwise the one-row sum
-        ``predict`` makes for X[i]."""
+        along its contiguous last axis, so row i is bitwise what a lone row
+        X[i] gets."""
         diff = X[:, None, :] - self.means
         terms = np.log(2.0 * np.pi * self.variances) + diff**2 / self.variances
         return self.log_priors + (-0.5 * terms).sum(axis=2)
 
     def predict_batch(self, X) -> np.ndarray:
-        """``predict`` for every row of ``X`` (n, dim), from the same
-        log-likelihoods bit for bit."""
+        """The most likely class of every row of ``X`` (n, dim); a tie goes
+        to the lowest class id."""
         X = np.asarray(X, dtype=np.float64)
         out = np.empty(X.shape[0], dtype=np.int64)
         for rows in _query_chunks(X.shape[0], 8 * self.means.size):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, require_labels
+from .data import Dataset, check_vector, require_labels
 from .errors import DataError, ShapeError
 
 
@@ -157,12 +157,7 @@ def _apply(proj: FisherProjection, X: np.ndarray) -> np.ndarray:
 
 def project(proj: FisherProjection, x) -> np.ndarray:
     """Project a single vector of finite values: lda^T pca^T (x - mean)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (proj.input_dim,):
-        raise ShapeError(f"vector dimension {x.shape} != expected ({proj.input_dim},)")
-    if not np.isfinite(x).all():
-        raise ValueError("feature values must be finite")
-    return _apply(proj, x)
+    return _apply(proj, check_vector(x, proj.input_dim, "projection"))
 
 
 def project_dataset(proj: FisherProjection, data: Dataset) -> Dataset:

@@ -105,15 +105,28 @@ def _parse_floats(line: str, want: int, context: str) -> np.ndarray:
         raise FormatError(f"{context}: {exc}") from exc
 
 
+def _digits(text: str) -> bool:
+    """Plain ASCII digits: no sign, space, underscore or other numeral."""
+    return text.isascii() and text.isdigit()
+
+
+def _section(header: str, kind: str, name: str = "...") -> tuple[str, int, int]:
+    """The (name, rows, cols) of a ``[kind name rows cols]`` header; ``name``
+    is only for the message.  The sizes are plain digits, closed by one ``]``."""
+    parts = header.split()
+    if len(parts) != 4 or parts[0] != f"[{kind}" or not header.endswith("]"):
+        raise FormatError(f"expected [{kind} {name}] section, got {header!r}")
+    rows, cols = parts[2], parts[3][:-1]
+    if not (_digits(rows) and _digits(cols)):
+        raise FormatError(f"bad {kind} header {header!r}")
+    return parts[1], int(rows), int(cols)
+
+
 def _read_matrix(reader: _Lines, name: str) -> np.ndarray:
     header = reader.take()
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "[matrix" or parts[1] != name or not header.endswith("]"):
+    tag, rows, cols = _section(header, "matrix", f"{name} ...")
+    if tag != name:
         raise FormatError(f"expected [matrix {name} ...] section, got {header!r}")
-    try:
-        rows, cols = int(parts[2]), int(parts[3].rstrip("]"))
-    except ValueError as exc:
-        raise FormatError(f"bad matrix header {header!r}") from exc
     if rows < 1 or cols < 1:
         raise FormatError(f"matrix {name} must have positive shape, got {rows}x{cols}")
     # one row a line, each parsed before it is stored: a declared size the
@@ -156,10 +169,10 @@ def parse_model(text: str) -> FittedPipeline:
     reader = _Lines(lines[:-2])
     if reader.take() != "[model]":
         raise FormatError("model file must start with a [model] section")
-    try:
-        version = int(_read_keyword(reader, "version"))
-    except ValueError as exc:
-        raise FormatError("bad version value") from exc
+    version = _read_keyword(reader, "version")
+    if not _digits(version):
+        raise FormatError(f"bad version value {version!r}")
+    version = int(version)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported model version {version}")
     mode = _read_keyword(reader, "mode")
@@ -189,15 +202,7 @@ def parse_model(text: str) -> FittedPipeline:
 
     entries = []
     while reader.peek() is not None:
-        header = reader.take()
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != "[som" or not header.endswith("]"):
-            raise FormatError(f"expected [som ...] section, got {header!r}")
-        tag = parts[1]
-        try:
-            rows, cols = int(parts[2]), int(parts[3].rstrip("]"))
-        except ValueError as exc:
-            raise FormatError(f"bad som header {header!r}") from exc
+        tag, rows, cols = _section(reader.take(), "som")
         if rows < 1 or cols < 1:
             raise FormatError(f"som grid must be positive, got {rows}x{cols}")
         dim = lda.shape[1]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNLABELED, Dataset
+from .data import UNLABELED, Dataset, check_vector
 from .errors import DataError, ShapeError
 
 
@@ -110,16 +110,6 @@ def init_map(rows: int, cols: int, dim: int, seed: int = 0, data=None) -> SomMap
         hi = X.max(axis=0)
         u = lo + u * (hi - lo)
     return SomMap(rows, cols, u)
-
-
-def check_vector(x, dim: int, owner: str = "map") -> np.ndarray:
-    """``x`` as a float64 vector of ``dim`` finite components."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dim,):
-        raise ShapeError(f"input dimension {x.shape} != {owner} dimension ({dim},)")
-    if not np.isfinite(x).all():
-        raise ValueError("feature values must be finite")
-    return x
 
 
 def distances(X: np.ndarray, W: np.ndarray) -> np.ndarray:

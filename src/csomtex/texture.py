@@ -64,9 +64,9 @@ def cooccurrence(
     A pair is counted when both endpoints fall inside the image and the mask.
     With ``symmetric`` each pair also increments the transposed cell, and
     pair_count counts both increments.  Zero qualifying pairs produce an
-    all-zero matrix with pair_count 0.
+    all-zero matrix with pair_count 0.  The mask is counted as region 0 of a
+    label image, as extract_features counts its regions.
     """
-    levels = img.max_value + 1
     if (mask.height, mask.width) != (img.height, img.width):
         raise ShapeError(
             f"mask {mask.width}x{mask.height} does not match "
@@ -75,22 +75,9 @@ def cooccurrence(
     dr, dc = int(offset[0]), int(offset[1])
     if (dr, dc) == (0, 0):
         raise ValueError("offset must be non-zero")
-
-    h, w = img.height, img.width
-    r0, r1 = max(0, -dr), min(h, h - dr)
-    c0, c1 = max(0, -dc), min(w, w - dc)
-    counts = np.zeros((levels, levels), dtype=np.int64)
-    if r0 < r1 and c0 < c1:
-        src = img.pixels[r0:r1, c0:c1]
-        dst = img.pixels[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-        both = mask.member[r0:r1, c0:c1] & mask.member[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-        pairs = src[both] * levels + dst[both]
-        counts = np.bincount(pairs, minlength=levels * levels).reshape(levels, levels)
-    if symmetric:
-        counts = counts + counts.T
-    total = int(counts.sum())
-    p = counts / total if total else np.zeros((levels, levels), dtype=np.float64)
-    return Glcm(levels, p, total)
+    levels = img.max_value + 1
+    p, totals = _region_glcms(img, mask.member - 1, 0, 1, (dr, dc), symmetric)
+    return Glcm(levels, p.reshape(levels, levels), int(totals[0]))
 
 
 def haralick4(g: Glcm) -> tuple[float, float, float, float]:
@@ -98,15 +85,7 @@ def haralick4(g: Glcm) -> tuple[float, float, float, float]:
 
     An empty matrix (pair_count 0) yields (0, 0, 0, 0).
     """
-    p = g.p
-    idx = np.arange(g.levels)
-    diff2 = (idx[:, None] - idx[None, :]) ** 2
-    energy = float((p * p).sum())
-    contrast = float((diff2 * p).sum())
-    nz = p > 0
-    entropy = float(np.sum(-p[nz] * np.log(p[nz])))
-    homogeneity = float((p / (1.0 + diff2)).sum())
-    return energy, contrast, entropy, homogeneity
+    return tuple(_haralick_rows(g.p.reshape(1, -1), _diff2(g.levels))[0].tolist())
 
 
 def feature_length(roi_cfg: RoiConfig, tex_cfg: TextureConfig) -> int:
@@ -117,13 +96,21 @@ def feature_length(roi_cfg: RoiConfig, tex_cfg: TextureConfig) -> int:
     return per_region
 
 
-def _region_counts(
-    img: Image, labels: np.ndarray, lo: int, hi: int, offset: tuple[int, int], symmetric: bool
-) -> np.ndarray:
-    """Co-occurrence counts of regions lo..hi-1 of a label image at one offset.
+def _diff2(levels: int) -> np.ndarray:
+    """The flattened (i - j)**2 of the L x L cells."""
+    idx = np.arange(levels)
+    return ((idx[:, None] - idx[None, :]) ** 2).ravel()
 
-    Returns a (hi - lo, L, L) int64 array; entry i is what cooccurrence
-    counts for the mask of region lo + i.
+
+def _region_glcms(
+    img: Image, labels: np.ndarray, lo: int, hi: int, offset: tuple[int, int], symmetric: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Co-occurrence matrices of regions lo..hi-1 of a label image at one offset.
+
+    A pair is counted when both endpoints fall inside the image and in the
+    same region.  Returns ``(p, totals)``: p is (hi - lo, L*L) float64, each
+    region's flattened counts over its pair total (all zero without pairs),
+    and totals the (hi - lo,) int64 pair totals.
     """
     levels = img.max_value + 1
     h, w = img.height, img.width
@@ -142,21 +129,23 @@ def _region_counts(
         counts = np.bincount(cells, minlength=n * levels * levels).reshape(n, levels, levels)
     if symmetric:
         counts = counts + counts.transpose(0, 2, 1)
-    return counts
-
-
-def _haralick_rows(counts: np.ndarray, diff2: np.ndarray) -> np.ndarray:
-    """haralick4 of each region's counts as an (n, 4) matrix, bit for bit.
-
-    ``diff2`` is the flattened (i - j)**2 of the L x L cells.  Row sums over
-    the flattened matrices add the cells in haralick4's order.  The entropy
-    sums only the non-zero cells, and numpy's pairwise summation groups them
-    by their number, so rows are summed in groups with equal non-zero counts.
-    """
-    n = counts.shape[0]
     flat = counts.reshape(n, -1)
-    total = flat.sum(axis=1)
-    p = flat / np.maximum(total, 1)[:, None]  # all-zero rows stay zero
+    totals = flat.sum(axis=1)
+    # the probabilities overwrite the counts in place: a second (n, L*L)
+    # array made extract-blockwise's 1024-region count measurably slower
+    p = np.divide(flat, np.maximum(totals, 1)[:, None], out=flat.view(np.float64))
+    return p, totals
+
+
+def _haralick_rows(p: np.ndarray, diff2: np.ndarray) -> np.ndarray:
+    """haralick4 of each row of ``p``, a flattened GLCM, as an (n, 4) matrix.
+
+    ``diff2`` is ``_diff2(L)``.  The entropy sums only the non-zero cells,
+    and numpy's pairwise summation groups them by their number, so rows are
+    summed in groups with equal non-zero counts: each row's sum is the one
+    a lone row would make.
+    """
+    n = p.shape[0]
     out = np.zeros((n, FEATURES_PER_GLCM), dtype=np.float64)
     out[:, 0] = (p * p).sum(axis=1)
     out[:, 1] = (diff2 * p).sum(axis=1)
@@ -201,17 +190,16 @@ def extract_features(
         raise DataError(f"no usable regions in image {name or f'{img.width}x{img.height}'}")
 
     levels = tex_cfg.levels
-    idx = np.arange(levels)
-    diff2 = ((idx[:, None] - idx[None, :]) ** 2).ravel()
+    diff2 = _diff2(levels)
     chunk = max(1, MAX_GLCM_BINS // (levels * levels))
     per_region = FEATURES_PER_GLCM * len(tex_cfg.offsets)
     blocks = np.zeros((n_regions, per_region), dtype=np.float64)
     for lo in range(0, n_regions, chunk):
         hi = min(lo + chunk, n_regions)
         for j, off in enumerate(tex_cfg.offsets):
-            counts = _region_counts(img, regions, lo, hi, off, tex_cfg.symmetric)
+            p, _ = _region_glcms(img, regions, lo, hi, off, tex_cfg.symmetric)
             cols = slice(j * FEATURES_PER_GLCM, (j + 1) * FEATURES_PER_GLCM)
-            blocks[lo:hi, cols] = _haralick_rows(counts, diff2)
+            blocks[lo:hi, cols] = _haralick_rows(p, diff2)
 
     if roi_cfg.mode == BLOCKWISE:
         return blocks.mean(axis=0)

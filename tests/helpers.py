@@ -63,6 +63,19 @@ def train_oracle(som, data, sched):
     return weights
 
 
+def knn_oracle(train, x, k: int = 1) -> int:
+    """Reference one-query k-NN, as ``knn_predict`` ran before it became
+    the one-row case of ``knn_predict_batch``: majority label among the k
+    nearest training rows, distance ties to the lower row index, vote ties
+    to the lowest class id.  The batch form must match it exactly."""
+    labels = train.labels
+    x = np.asarray(x, dtype=np.float64)
+    d = np.linalg.norm(train.X - x, axis=1)
+    nearest = np.argsort(d, kind="stable")[:k]
+    votes, counts = np.unique(labels[nearest], return_counts=True)
+    return int(votes[int(np.argmax(counts))])
+
+
 def bits(a: np.ndarray) -> np.ndarray:
     """The raw float64 bits, so equality is bitwise (-0.0 != 0.0)."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)

@@ -15,11 +15,15 @@ import csomtex
 from csomtex import (
     Dataset,
     Image,
+    classify,
+    gnb_fit,
     load_model,
     load_pgm,
     mask_to_rle,
     preprocess,
+    project,
     quantize,
+    read_dataset,
     region_labels,
     region_masks,
     save_pgm,
@@ -411,6 +415,30 @@ class TestClassify:
         assert "checksum" in err
 
 
+class TestLibraryQueries:
+    """The one-row library calls a client makes on a saved model and its
+    features, which no subcommand makes."""
+
+    def test_classify_a_projected_vector_as_the_cli_does(self, features_csv, model_file, capsys):
+        code, out, _ = run(capsys, ["classify", str(model_file), str(features_csv), "--errors"])
+        assert code == 0
+        model = load_model(model_file)
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        for x, cells in zip(read_dataset(features_csv).X, rows, strict=True):
+            cid, errors = classify(model.csom, project(model.fisher, x))
+            assert cid == int(cells[2])
+            # a projected vector and a projected matrix round differently
+            want = [float(v) for v in cells[3:]]
+            np.testing.assert_allclose(errors, want, rtol=1e-9, atol=1e-12)
+
+    def test_gnb_predicts_one_row_as_the_batch_does(self, features_csv):
+        data = read_dataset(features_csv)
+        gnb = gnb_fit(data)
+        want = gnb.predict_batch(data.X).tolist()
+        assert [gnb.predict(x) for x in data.X] == want
+        assert want == data.labels.tolist()
+
+
 class TestHugeFeatures:
     """Features far larger than the training data overflow the projection or
     the map distances: a data error, never a RuntimeWarning or a guess."""
@@ -718,6 +746,19 @@ class TestConfigErrors:
         code, _, err = run(capsys, argv)
         fold = "fold 0: " if command == "evaluate" else ""
         assert (code, err) == (2, f"error: {fold}fisher_dim 5 needs at least 6 classes, got 3\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_negative_label_is_data_error(self, command, tmp_path, capsys):
+        # classes 0, 1, 2, with class 0 written as -2
+        lines = dataset_to_csv(gaussian_blobs([6, 6, 6], dim=3, seed=1)).splitlines()
+        feats = tmp_path / "f.csv"
+        feats.write_text("\n".join(ln[:-2] + ",-2" if ln.endswith(",0") else ln for ln in lines))
+        out = tmp_path / "out.txt"
+        got = run(capsys, [command, str(feats), "-o", str(out)])
+        assert got == (
+            2, "", "error: negative label in dataset CSV row 1; class ids must be >= 0\n"
+        )
         assert not out.exists()
 
 

@@ -32,6 +32,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([1]))
 
+    def test_labels_below_unlabeled_rejected(self):
+        msg = r"^labels must be >= 0, or UNLABELED \(-1\) for none$"
+        with pytest.raises(ValueError, match=msg):
+            Dataset(np.zeros((2, 1)), np.array([0, -2]))
+        assert Dataset(np.zeros((2, 1)), np.array([0, UNLABELED])).labels.tolist() == [0, -1]
+
     def test_class_ids_exclude_unlabeled(self):
         d = Dataset(np.zeros((4, 1)), np.array([3, UNLABELED, 0, 3]))
         assert d.class_ids.tolist() == [0, 3]
@@ -118,6 +124,16 @@ class TestCsv:
             dataset_from_csv("f0,label\n1\n")
         with pytest.raises(FormatError):
             dataset_from_csv("f0,label\nnan,1\n")
+
+    @pytest.mark.parametrize("label", ["-1", "-2", "-10"])
+    def test_negative_label_field_names_its_row(self, label):
+        # "-1" is not another spelling of an empty field: UNLABELED is
+        # written and read only as an empty label
+        with pytest.raises(
+            FormatError, match="^negative label in dataset CSV row 2; class ids must be >= 0$"
+        ):
+            dataset_from_csv(f"f0,label\n1,0\n2,{label}\n3,1\n")
+        assert dataset_from_csv("f0,label\n1,0\n2,-0\n").labels.tolist() == [0, 0]
 
     def test_file_round_trip(self, tmp_path):
         d = Dataset(np.array([[np.pi, np.e]]), np.array([2]))

@@ -29,7 +29,7 @@ from csomtex import (
 from csomtex import evaluation
 from csomtex.evaluation import MAX_MAP_UNITS, run_experiments
 from csomtex.som import distances
-from helpers import bits, gaussian_blobs, train_oracle
+from helpers import bits, gaussian_blobs, knn_oracle, train_oracle
 
 
 class TestKfoldSplit:
@@ -64,6 +64,21 @@ class TestKfoldSplit:
         b = kfold_split(data, 3, seed=9)
         for (tr1, te1), (tr2, te2) in zip(a, b):
             assert tr1 == tr2 and te1 == te2
+
+    @pytest.mark.parametrize(
+        "k, seed, want",
+        [
+            (3, 0, [0, 1, 1, 2, 2, 2, 1, 1, 0, 0, 0]),
+            (4, 7, [2, 0, 0, 1, 2, 2, 3, 1, 1, 3, 0]),
+        ],
+    )
+    def test_recorded_fold_assignment(self, k, seed, want):
+        # each row's test fold, as the per-row deal loop assigned them
+        data = Dataset(np.arange(11.0)[:, None], np.array([2, 0, 2, 1, 0, 2, 1, 2, 0, 2, 1]))
+        fold_of = np.empty(data.n, dtype=np.int64)
+        for f, (_, test) in enumerate(kfold_split(data, k, seed=seed)):
+            fold_of[test.X[:, 0].astype(np.int64)] = f
+        assert fold_of.tolist() == want
 
     def test_validation(self):
         data = gaussian_blobs([2, 2], dim=2)
@@ -143,9 +158,19 @@ def _tie_heavy(rng, n, dim, n_classes):
     return Dataset(X, 2 * labels + 3)  # class ids 3, 5, 7, ...
 
 
+def _gnb_log_likelihoods(gnb, queries) -> np.ndarray:
+    """Each query's per-class log-likelihoods, one query at a time."""
+    return np.array([
+        gnb.log_priors + (
+            -0.5 * (np.log(2.0 * np.pi * gnb.variances) + (q - gnb.means) ** 2 / gnb.variances)
+        ).sum(axis=1)
+        for q in queries
+    ])
+
+
 class TestBatchedClassifiers:
-    """knn_predict_batch and GaussianNbModel.predict_batch against the
-    one-query calls, which stay the reference."""
+    """knn_predict_batch and GaussianNbModel.predict_batch, and their
+    one-query forms, against one-query reference computations."""
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_knn_matches_one_query_calls(self, dim):
@@ -161,10 +186,11 @@ class TestBatchedClassifiers:
                 bits(distances(queries, train.X)), bits(np.array(want_d))
             )
             for k in range(1, 6):
-                want = [knn_predict(train, q, k) for q in queries]
+                want = [knn_oracle(train, q, k) for q in queries]
                 got = evaluation.knn_predict_batch(train, queries, k)
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, want)
+                assert [knn_predict(train, q, k) for q in queries] == want
 
     def test_knn_ties(self):
         # distance ties go to the lower row, vote ties to the lowest class id
@@ -181,8 +207,8 @@ class TestBatchedClassifiers:
         train = _tie_heavy(rng, 40, 9, 3)
         gnb = gnb_fit(gaussian_blobs([6, 5, 7], dim=9, seed=2))
         queries = rng.integers(0, 3, size=(101, 9)).astype(np.float64)
-        want_knn = [knn_predict(train, q, 3) for q in queries]
-        want_gnb = [gnb.predict(q) for q in queries]
+        want_knn = [knn_oracle(train, q, 3) for q in queries]
+        want_gnb = gnb.class_ids[_gnb_log_likelihoods(gnb, queries).argmax(axis=1)]
         # 7 queries a chunk, then one query a chunk
         for limit in (7 * 8 * train.n * train.dim, 1):
             monkeypatch.setattr("csomtex.som.BATCH_BYTES", limit)
@@ -206,18 +232,13 @@ class TestBatchedClassifiers:
         train = gaussian_blobs([9, 7, 8, 6], dim=dim, separation=1.5, seed=dim)
         gnb = gnb_fit(train)
         queries = np.vstack([train.X, rng.normal(0.0, 3.0, size=(40, dim))])
-        want_ll = [
-            gnb.log_priors + (
-                -0.5 * (np.log(2.0 * np.pi * gnb.variances) + (q - gnb.means) ** 2 / gnb.variances)
-            ).sum(axis=1)
-            for q in queries
-        ]  # the sum GaussianNbModel.predict makes
-        np.testing.assert_array_equal(
-            bits(gnb._log_likelihoods(queries)), bits(np.array(want_ll))
-        )
+        want_ll = _gnb_log_likelihoods(gnb, queries)
+        np.testing.assert_array_equal(bits(gnb._log_likelihoods(queries)), bits(want_ll))
+        want = gnb.class_ids[want_ll.argmax(axis=1)]
         got = gnb.predict_batch(queries)
         assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, [gnb.predict(q) for q in queries])
+        np.testing.assert_array_equal(got, want)
+        assert [gnb.predict(q) for q in queries] == want.tolist()
 
     def test_gnb_tie_goes_to_the_lowest_class(self):
         train = Dataset(np.array([[-2.0], [-1.0], [1.0], [2.0]]), np.array([4, 4, 2, 2]))

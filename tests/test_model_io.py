@@ -44,9 +44,11 @@ def small_model(pooled: bool = False, echo: tuple = ECHO):
 
 
 def reseal(text: str) -> str:
-    """Recompute the trailing checksum after editing the body."""
+    """Recompute the trailing checksum after editing the body, hashing a
+    non-ascii character as parse_model does, as one "?"."""
     body = text[: text.index("[checksum]\n")] if "[checksum]\n" in text else text
-    return body + "[checksum]\n" + f"fnv1a64 {fnv1a64(body.encode('ascii')):016x}\n"
+    digest = fnv1a64(body.encode("ascii", errors="replace"))
+    return body + "[checksum]\n" + f"fnv1a64 {digest:016x}\n"
 
 
 class TestFnv1a64:
@@ -140,6 +142,31 @@ class TestCorruption:
         text = reseal(serialize_model(model).replace("version 1", "version 7", 1))
         with pytest.raises(FormatError, match="version"):
             parse_model(text)
+
+    @pytest.mark.parametrize("bad", ["+1", "1_0", "-1", "1.0", "\u0661"])
+    def test_version_is_plain_digits(self, bad):
+        model, _ = small_model()
+        text = reseal(serialize_model(model).replace("version 1", f"version {bad}", 1))
+        with pytest.raises(FormatError, match=r"^bad version value "):
+            parse_model(text)
+
+    @pytest.mark.parametrize(
+        "kind, good, bad",
+        [
+            ("som", "[som 0 2 2]", "[som 0 2 2]]]"),
+            ("som", "[som 0 2 2]", "[som 0 +2 2]"),
+            ("som", "[som 0 2 2]", "[som 0 2 2_0]"),
+            ("som", "[som 0 2 2]", "[som 0 2 \u0662]"),
+            ("matrix", "[matrix mean 1 5]", "[matrix mean 1 5]]"),
+            ("matrix", "[matrix mean 1 5]", "[matrix mean +1 5]"),
+            ("matrix", "[matrix mean 1 5]", "[matrix mean 1 0x5]"),
+        ],
+    )
+    def test_section_sizes_are_plain_digits_closed_once(self, kind, good, bad):
+        text = serialize_model(small_model()[0])
+        assert good in text
+        with pytest.raises(FormatError, match=rf"^bad {kind} header "):
+            parse_model(reseal(text.replace(good, bad, 1)))
 
     def test_unknown_mode(self):
         model, _ = small_model()

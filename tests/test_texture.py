@@ -24,30 +24,43 @@ from csomtex import (
     region_labels,
     region_masks,
 )
-from helpers import image_from, random_image
+from helpers import bits, image_from, random_image
 
 FULL = lambda img: RegionMask(np.ones(img.pixels.shape, dtype=bool))  # noqa: E731
 
 
 def glcm_oracle(img: Image, mask: RegionMask, offset, symmetric: bool):
-    """Independent pair enumerator: walk every pixel, count neighbors."""
+    """Independent pair enumerator: walk every pixel of the mask, count its
+    neighbor when that is in the image and the mask too."""
     levels = img.max_value + 1
     dr, dc = offset
     counts = np.zeros((levels, levels), dtype=np.int64)
     h, w = img.pixels.shape
-    for r in range(h):
-        for c in range(w):
-            r2, c2 = r + dr, c + dc
-            if not (0 <= r2 < h and 0 <= c2 < w):
-                continue
-            if not (mask.member[r, c] and mask.member[r2, c2]):
-                continue
-            counts[img.pixels[r, c], img.pixels[r2, c2]] += 1
-            if symmetric:
-                counts[img.pixels[r2, c2], img.pixels[r, c]] += 1
+    pixels, member = img.pixels.tolist(), mask.member.tolist()
+    for r, c in zip(*np.nonzero(mask.member)):
+        r2, c2 = r + dr, c + dc
+        if not (0 <= r2 < h and 0 <= c2 < w and member[r2][c2]):
+            continue
+        counts[pixels[r][c], pixels[r2][c2]] += 1
+        if symmetric:
+            counts[pixels[r2][c2], pixels[r][c]] += 1
     total = counts.sum()
     p = counts / total if total else counts.astype(np.float64)
     return counts, p, int(total)
+
+
+def haralick_oracle(g: Glcm) -> tuple[float, float, float, float]:
+    """Reference Haralick features of one matrix, as ``haralick4`` computed
+    them before it became the one-matrix case of the region batch."""
+    p = g.p
+    idx = np.arange(g.levels)
+    diff2 = (idx[:, None] - idx[None, :]) ** 2
+    energy = float((p * p).sum())
+    contrast = float((diff2 * p).sum())
+    nz = p > 0
+    entropy = float(np.sum(-p[nz] * np.log(p[nz])))
+    homogeneity = float((p / (1.0 + diff2)).sum())
+    return energy, contrast, entropy, homogeneity
 
 
 class TestCooccurrence:
@@ -121,7 +134,8 @@ class TestCooccurrence:
         g = cooccurrence(img, mask, offset, symmetric=symmetric)
         counts, p, total = glcm_oracle(img, mask, offset, symmetric)
         assert g.pair_count == total
-        np.testing.assert_allclose(g.p, p, atol=1e-12)
+        np.testing.assert_array_equal(np.rint(g.p * total).astype(np.int64), counts)
+        np.testing.assert_array_equal(bits(g.p), bits(p))
 
 
 class TestHaralick:
@@ -140,6 +154,23 @@ class TestHaralick:
     def test_empty_glcm_is_all_zero(self):
         g = Glcm(2, np.zeros((2, 2)), 0)
         assert haralick4(g) == (0.0, 0.0, 0.0, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        levels=st.integers(2, 64),
+        density=st.sampled_from([0.02, 0.3, 1.0]),
+    )
+    def test_bitwise_equal_to_oracle(self, seed, levels, density):
+        # arbitrary non-negative matrices, sparse or dense, summing to 1 or not
+        rng = np.random.default_rng(seed)
+        p = rng.random((levels, levels)) * (rng.random((levels, levels)) < density)
+        if seed % 2:
+            p /= max(p.sum(), 1.0)
+        g = Glcm(levels, p, int(rng.integers(0, 1000)))
+        got = haralick4(g)
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(bits(np.array(got)), bits(np.array(haralick_oracle(g))))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 100_000), levels=st.sampled_from([2, 3, 4]))
@@ -214,25 +245,23 @@ class TestExtractFeatures:
 
 
 def features_oracle(img: Image, roi: RoiConfig, tex: TextureConfig) -> np.ndarray:
-    """extract_features composed per region: one cooccurrence + haralick4
-    per mask and offset, then the blockwise mean or the pixelwise padding."""
+    """extract_features composed per region: one glcm_oracle +
+    haralick_oracle per mask and offset, then the blockwise mean or the
+    pixelwise padding."""
     masks = list(region_masks(region_labels(img, roi)))
     per_region = 4 * len(tex.offsets)
     blocks = np.zeros((len(masks), per_region), dtype=np.float64)
     for mi, mask in enumerate(masks):
         feats = []
         for off in tex.offsets:
-            feats.extend(haralick4(cooccurrence(img, mask, off, tex.symmetric)))
+            _, p, total = glcm_oracle(img, mask, off, tex.symmetric)
+            feats.extend(haralick_oracle(Glcm(img.max_value + 1, p, total)))
         blocks[mi] = feats
     if roi.mode == "blockwise":
         return blocks.mean(axis=0)
     out = np.zeros(roi.sn * per_region, dtype=np.float64)
     out[: blocks.size] = blocks.ravel()
     return out
-
-
-def bits(vec: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(vec, dtype=np.float64).view(np.uint64)
 
 
 # (1, -1) runs against the grain; the long ones outreach small blocks, so

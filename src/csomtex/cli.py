@@ -21,7 +21,15 @@ import numpy as np
 from . import __version__
 from .config import EvalColumn, ToolConfig, load_config
 from .csom import classify, classify_dataset
-from .data import UNLABELED, Dataset, dataset_to_csv, read_dataset, read_text, write_atomic
+from .data import (
+    INT_LIMIT,
+    UNLABELED,
+    Dataset,
+    dataset_to_csv,
+    read_dataset,
+    read_text,
+    write_atomic,
+)
 from .errors import DataError, FormatError, IntegrityError
 from .evaluation import MODES, FittedPipeline, run_experiments
 from .fisher import project, project_dataset
@@ -56,6 +64,8 @@ def read_manifest(path) -> list[tuple[str, int]]:
                 raise FormatError(f"{path}:{lineno}: bad class id {cls!r}") from exc
             if label < 0:
                 raise FormatError(f"{path}:{lineno}: class ids must be >= 0")
+            if label >= INT_LIMIT:
+                raise FormatError(f"{path}:{lineno}: class id too large; class ids must be < 2**63")
         else:
             label = UNLABELED
         entries.append((name, label))

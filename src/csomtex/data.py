@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DataError, FormatError, ShapeError
 
 UNLABELED = -1
+# Integer fields of input files (class ids, counts) are stored as int64.
+INT_LIMIT = 2**63
 
 
 @dataclass(eq=False)
@@ -134,13 +136,18 @@ def dataset_from_csv(text: str) -> Dataset:
             raise FormatError(f"non-numeric feature in dataset CSV row {i + 1}") from None
         if row[dim] != "":
             try:
-                labels[i] = int(row[dim])
+                label = int(row[dim])
             except ValueError:
                 raise FormatError(f"non-integer label in dataset CSV row {i + 1}") from None
-            if labels[i] < 0:
+            if label < 0:
                 raise FormatError(
                     f"negative label in dataset CSV row {i + 1}; class ids must be >= 0"
                 )
+            if label >= INT_LIMIT:
+                raise FormatError(
+                    f"label too large in dataset CSV row {i + 1}; class ids must be < 2**63"
+                )
+            labels[i] = label
     try:
         return Dataset(X, labels)
     except ValueError as exc:

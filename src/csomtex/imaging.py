@@ -8,7 +8,9 @@ two big-endian bytes otherwise).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -16,9 +18,11 @@ from .errors import EmptyForegroundError, FormatError, TruncationError
 
 MAX_MAXVAL = 65535
 
-_WHITESPACE = b" \t\r\n\v\f"
-_COMMENT = ord("#")  # a comment runs to the end of its line
-_TOKEN_END = _WHITESPACE + b"#"
+# One comment, which runs to the end of its line, or one token, which ends
+# at ASCII whitespace or "#".  Neither branch nests a quantifier, so a scan
+# takes linear time on any input.
+_SCANNER = re.compile(rb"#[^\n]*|[^ \t\r\n\v\f#]+")
+_COMMENTS = re.compile(rb"#[^\n]*")
 
 
 @dataclass(eq=False)
@@ -72,40 +76,19 @@ class PreprocessConfig:
             raise ValueError("threshold must be >= 0")
 
 
-class _Cursor:
-    """Byte-level token reader for PGM headers."""
+def _check_digits(tokens: list[bytes], what: str) -> None:
+    """Every token is plain ASCII digits: no sign, "_" or other numeral."""
+    if tokens and not b"".join(tokens).isdigit():
+        bad = next(tok for tok in tokens if not tok.isdigit())
+        raise FormatError(f"invalid {what} token {bad!r} in PGM header")
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
 
-    def _skip_filler(self) -> None:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            b = data[self.pos]
-            if b == _COMMENT:
-                nl = data.find(b"\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
-            elif b in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def next_token(self) -> bytes:
-        self._skip_filler()
-        if self.pos >= len(self.data):
-            raise TruncationError("PGM data ends inside the header")
-        start = self.pos
-        data, n = self.data, len(self.data)
-        while self.pos < n and data[self.pos] not in _TOKEN_END:
-            self.pos += 1
-        return data[start : self.pos]
-
-    def next_int(self, what: str) -> int:
-        tok = self.next_token()
-        if not tok.isdigit():  # ASCII digits only: no sign, "_" or other digits
-            raise FormatError(f"invalid {what} token {tok!r} in PGM header")
-        return int(tok)
+def _int64(tokens: list[bytes], what: str) -> np.ndarray:
+    """Digit tokens as int64; a value of 2**63 or more is a FormatError."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (OverflowError, ValueError):  # ValueError: past Python's digit limit
+        raise FormatError(f"PGM {what} value too large") from None
 
 
 def load_pgm(data: bytes) -> Image:
@@ -114,49 +97,49 @@ def load_pgm(data: bytes) -> Image:
     Raises FormatError for a bad magic or out-of-range header values and
     TruncationError when the pixel body is shorter than declared.
     """
-    cur = _Cursor(data)
     if len(data) < 2:
         raise FormatError("not a PGM: data too short for a magic number")
-    magic = cur.next_token()
+    tokens = (m for m in _SCANNER.finditer(data) if not m[0].startswith(b"#"))
+    header = list(islice(tokens, 4))
+    if not header:
+        raise TruncationError("PGM data ends inside the header")
+    magic = header[0][0]
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"not a PGM: bad magic {magic!r} (expected P2 or P5)")
-    width = cur.next_int("width")
-    height = cur.next_int("height")
-    maxval = cur.next_int("maxval")
+    values = []
+    for m, what in zip(header[1:], ("width", "height", "maxval")):
+        _check_digits([m[0]], what)
+        values.append(int(_int64([m[0]], what)[0]))
+    if len(values) < 3:
+        raise TruncationError("PGM data ends inside the header")
+    width, height, maxval = values
     if width < 1 or height < 1:
         raise FormatError(f"invalid PGM dimensions {width}x{height}")
     if not 1 <= maxval <= MAX_MAXVAL:
         raise FormatError(f"PGM maxval {maxval} outside [1, {MAX_MAXVAL}]")
 
     count = width * height
+    end = header[3].end()
     if magic == b"P2":
-        values = []
-        while len(values) < count:
-            try:
-                values.append(cur.next_int("pixel"))
-            except TruncationError:
-                raise TruncationError(
-                    f"P2 body has {len(values)} of {count} pixel values"
-                ) from None
-        cur._skip_filler()
-        if cur.pos != len(data):
+        samples = _COMMENTS.sub(b" ", data[end:]).split()
+        _check_digits(samples[:count], "pixel")
+        if len(samples) < count:
+            raise TruncationError(f"P2 body has {len(samples)} of {count} pixel values")
+        if len(samples) > count:
             raise FormatError("trailing data after P2 pixel values")
-        pixels = np.array(values, dtype=np.int64).reshape(height, width)
+        pixels = _int64(samples, "pixel")
     else:
         # Exactly one whitespace byte separates the maxval token from the raster.
-        if cur.pos >= len(data) or data[cur.pos] not in _WHITESPACE:
+        if not data[end : end + 1].isspace():
             raise FormatError("P5 maxval must be followed by one whitespace byte")
-        body = data[cur.pos + 1 :]
+        body = data[end + 1 :]
         nbytes = count * (1 if maxval < 256 else 2)
         if len(body) < nbytes:
             raise TruncationError(f"P5 body has {len(body)} of {nbytes} bytes")
         if len(body) > nbytes:
             raise FormatError("trailing data after P5 pixel bytes")
-        if maxval < 256:
-            pixels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
-        else:
-            pixels = np.frombuffer(body, dtype=">u2").astype(np.int64)
-        pixels = pixels.reshape(height, width)
+        pixels = np.frombuffer(body, dtype=np.uint8 if maxval < 256 else ">u2")
+    pixels = pixels.astype(np.int64).reshape(height, width)
 
     if pixels.max() > maxval:
         raise FormatError("PGM contains pixel values above the declared maxval")

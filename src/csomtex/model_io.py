@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .csom import CsomModel
-from .data import format_value, read_text, write_atomic
+from .data import INT_LIMIT, format_value, read_text, write_atomic
 from .errors import FormatError, IntegrityError
 from .evaluation import MODES, FittedPipeline
 from .fisher import FisherProjection
@@ -105,9 +105,13 @@ def _parse_floats(line: str, want: int, context: str) -> np.ndarray:
         raise FormatError(f"{context}: {exc}") from exc
 
 
-def _digits(text: str) -> bool:
-    """Plain ASCII digits: no sign, space, underscore or other numeral."""
-    return text.isascii() and text.isdigit()
+def _plain_int(text: str) -> int | None:
+    """``text`` as an integer below 2**63 if it is plain ASCII digits (no
+    sign, space, underscore or other numeral), else None."""
+    if not (text.isascii() and text.isdigit()) or len(text.lstrip("0")) > 19:
+        return None  # 19 digits hold every value below 2**63
+    value = int(text)
+    return value if value < INT_LIMIT else None
 
 
 def _section(header: str, kind: str, name: str = "...") -> tuple[str, int, int]:
@@ -116,10 +120,10 @@ def _section(header: str, kind: str, name: str = "...") -> tuple[str, int, int]:
     parts = header.split()
     if len(parts) != 4 or parts[0] != f"[{kind}" or not header.endswith("]"):
         raise FormatError(f"expected [{kind} {name}] section, got {header!r}")
-    rows, cols = parts[2], parts[3][:-1]
-    if not (_digits(rows) and _digits(cols)):
+    rows, cols = _plain_int(parts[2]), _plain_int(parts[3][:-1])
+    if rows is None or cols is None:
         raise FormatError(f"bad {kind} header {header!r}")
-    return parts[1], int(rows), int(cols)
+    return parts[1], rows, cols
 
 
 def _read_matrix(reader: _Lines, name: str) -> np.ndarray:
@@ -169,10 +173,10 @@ def parse_model(text: str) -> FittedPipeline:
     reader = _Lines(lines[:-2])
     if reader.take() != "[model]":
         raise FormatError("model file must start with a [model] section")
-    version = _read_keyword(reader, "version")
-    if not _digits(version):
-        raise FormatError(f"bad version value {version!r}")
-    version = int(version)
+    stated_version = _read_keyword(reader, "version")
+    version = _plain_int(stated_version)
+    if version is None:
+        raise FormatError(f"bad version value {stated_version!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported model version {version}")
     mode = _read_keyword(reader, "mode")
@@ -223,10 +227,10 @@ def parse_model(text: str) -> FittedPipeline:
         for tag, som in entries:
             if tag == POOLED:
                 raise FormatError("per-class file cannot contain a pooled map")
-            try:
-                class_entries.append((int(tag), som))
-            except ValueError as exc:
-                raise FormatError(f"bad class id {tag!r}") from exc
+            class_id = _plain_int(tag)
+            if class_id is None:
+                raise FormatError(f"bad class id {tag!r}")
+            class_entries.append((class_id, som))
         return FittedPipeline(
             fisher, csom=CsomModel(class_entries), mode=mode, echo=tuple(echo)
         )

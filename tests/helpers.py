@@ -4,11 +4,33 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from csomtex import Dataset, Image
+from csomtex import Dataset, FormatError, Image, TruncationError, fnv1a64
+from csomtex.imaging import MAX_MAXVAL
 
 # derandomized, so a run draws the same examples every time
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+def _edit(base, edits):
+    """``base`` with each (kind, position, chunk) edit applied in turn:
+    r replaces, i inserts, d deletes len(chunk) items at the position."""
+    for kind, pos, chunk in edits:
+        pos %= len(base) + 1
+        if kind == "r":
+            base = base[:pos] + chunk + base[pos + len(chunk):]
+        elif kind == "i":
+            base = base[:pos] + chunk + base[pos:]
+        else:
+            base = base[:pos] + base[pos + len(chunk):]
+    return base
+
+
+def mutations(base, chunks):
+    """``base`` (bytes or str) with one to four edits whose chunks ``chunks`` draws."""
+    edit = st.tuples(st.sampled_from("rid"), st.integers(0, 10**6), chunks)
+    return st.lists(edit, min_size=1, max_size=4).map(lambda edits: _edit(base, edits))
 
 
 def gaussian_blobs(
@@ -76,6 +98,111 @@ def knn_oracle(train, x, k: int = 1) -> int:
     return int(votes[int(np.argmax(counts))])
 
 
+def reseal(text: str) -> str:
+    """Recompute the trailing checksum after editing the body, hashing a
+    non-ascii character as parse_model does, as one "?"."""
+    body = text[: text.index("[checksum]\n")] if "[checksum]\n" in text else text
+    digest = fnv1a64(body.encode("ascii", errors="replace"))
+    return body + "[checksum]\n" + f"fnv1a64 {digest:016x}\n"
+
+
 def bits(a: np.ndarray) -> np.ndarray:
     """The raw float64 bits, so equality is bitwise (-0.0 != 0.0)."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+_WHITESPACE = b" \t\r\n\v\f"
+_COMMENT = ord("#")  # a comment runs to the end of its line
+_TOKEN_END = _WHITESPACE + b"#"
+
+
+class _Cursor:
+    """Byte-level token reader for PGM headers."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.pos = 0
+
+    def _skip_filler(self) -> None:
+        data, n = self.data, len(self.data)
+        while self.pos < n:
+            b = data[self.pos]
+            if b == _COMMENT:
+                nl = data.find(b"\n", self.pos)
+                self.pos = n if nl < 0 else nl + 1
+            elif b in _WHITESPACE:
+                self.pos += 1
+            else:
+                return
+
+    def next_token(self) -> bytes:
+        self._skip_filler()
+        if self.pos >= len(self.data):
+            raise TruncationError("PGM data ends inside the header")
+        start = self.pos
+        data, n = self.data, len(self.data)
+        while self.pos < n and data[self.pos] not in _TOKEN_END:
+            self.pos += 1
+        return data[start : self.pos]
+
+    def next_int(self, what: str) -> int:
+        tok = self.next_token()
+        if not tok.isdigit():  # ASCII digits only: no sign, "_" or other digits
+            raise FormatError(f"invalid {what} token {tok!r} in PGM header")
+        return int(tok)
+
+
+def pgm_oracle(data: bytes) -> Image:
+    """Reference PGM reader, as ``load_pgm`` ran before it scanned with one
+    regular expression: a byte-at-a-time cursor and one ``next_int`` per P2
+    sample.  ``load_pgm`` must agree with it on every input, apart from
+    integers too large for int64, which this reader lets escape as
+    OverflowError or as Python's digit-limit ValueError.
+    """
+    cur = _Cursor(data)
+    if len(data) < 2:
+        raise FormatError("not a PGM: data too short for a magic number")
+    magic = cur.next_token()
+    if magic not in (b"P2", b"P5"):
+        raise FormatError(f"not a PGM: bad magic {magic!r} (expected P2 or P5)")
+    width = cur.next_int("width")
+    height = cur.next_int("height")
+    maxval = cur.next_int("maxval")
+    if width < 1 or height < 1:
+        raise FormatError(f"invalid PGM dimensions {width}x{height}")
+    if not 1 <= maxval <= MAX_MAXVAL:
+        raise FormatError(f"PGM maxval {maxval} outside [1, {MAX_MAXVAL}]")
+
+    count = width * height
+    if magic == b"P2":
+        values = []
+        while len(values) < count:
+            try:
+                values.append(cur.next_int("pixel"))
+            except TruncationError:
+                raise TruncationError(
+                    f"P2 body has {len(values)} of {count} pixel values"
+                ) from None
+        cur._skip_filler()
+        if cur.pos != len(data):
+            raise FormatError("trailing data after P2 pixel values")
+        pixels = np.array(values, dtype=np.int64).reshape(height, width)
+    else:
+        # Exactly one whitespace byte separates the maxval token from the raster.
+        if cur.pos >= len(data) or data[cur.pos] not in _WHITESPACE:
+            raise FormatError("P5 maxval must be followed by one whitespace byte")
+        body = data[cur.pos + 1 :]
+        nbytes = count * (1 if maxval < 256 else 2)
+        if len(body) < nbytes:
+            raise TruncationError(f"P5 body has {len(body)} of {nbytes} bytes")
+        if len(body) > nbytes:
+            raise FormatError("trailing data after P5 pixel bytes")
+        if maxval < 256:
+            pixels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
+        else:
+            pixels = np.frombuffer(body, dtype=">u2").astype(np.int64)
+        pixels = pixels.reshape(height, width)
+
+    if pixels.max() > maxval:
+        raise FormatError("PGM contains pixel values above the declared maxval")
+    return Image(pixels, maxval)

@@ -32,7 +32,7 @@ from csomtex.cli import main, read_manifest
 from csomtex.config import ToolConfig, load_config
 from csomtex.data import dataset_to_csv
 from csomtex.evaluation import MAX_MAP_UNITS
-from helpers import gaussian_blobs
+from helpers import gaussian_blobs, reseal
 
 CLASSES = 3
 PER_CLASS = 6
@@ -760,6 +760,65 @@ class TestConfigErrors:
             2, "", "error: negative label in dataset CSV row 1; class ids must be >= 0\n"
         )
         assert not out.exists()
+
+
+class TestOversizedIntegers:
+    """An integer too large for its int64 field is a data error (exit 2) that
+    names the field, never a traceback or a usage error (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "pgm, field",
+        [
+            (b"P2\n2 1\n255\n1 " + b"9" * 20 + b"\n", "pixel"),
+            (b"P2\n2 1\n255\n1 " + b"9" * 5000 + b"\n", "pixel"),
+            (b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00", "width"),
+            (b"P5\n2 " + b"9" * 20 + b"\n255\n\x00\x00", "height"),
+        ],
+        ids=["sample_20_digits", "sample_5000_digits", "width_5000_digits", "height_20_digits"],
+    )
+    def test_pgm(self, pgm, field, tmp_path, capsys):
+        (tmp_path / "big.pgm").write_bytes(pgm)
+        (tmp_path / "m.txt").write_text("big.pgm,0\n")
+        out = tmp_path / "f.csv"
+        got = run(capsys, ["extract", str(tmp_path / "m.txt"), "-o", str(out)])
+        assert got == (2, "", f"error: PGM {field} value too large\n")
+        assert not out.exists()
+
+    def test_manifest_class_id(self, corpus, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{corpus}/imgs/c0_0.pgm,99999999999999999999\n")
+        out = tmp_path / "f.csv"
+        got = run(capsys, ["extract", str(manifest), "-o", str(out)])
+        assert got == (
+            2, "", f"error: {manifest}:1: class id too large; class ids must be < 2**63\n"
+        )
+        assert not out.exists()
+
+    def test_features_label(self, tmp_path, capsys):
+        feats = tmp_path / "f.csv"
+        feats.write_text("f0,label\n0.5,0\n1.5,99999999999999999999\n")
+        out = tmp_path / "m.txt"
+        got = run(capsys, ["train", str(feats), "-o", str(out)])
+        assert got == (
+            2, "", "error: label too large in dataset CSV row 2; class ids must be < 2**63\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "good, bad, message",
+        [
+            ("[som 2 2 2]", "[som 99999999999999999999 2 2]",
+             "bad class id '99999999999999999999'"),
+            ("[som 0 2 2]", "[som 0 2 " + "9" * 5000 + "]", "bad som header '[som 0 2 "),
+        ],
+        ids=["class_tag", "grid_5000_digits"],
+    )
+    def test_model(self, model_file, features_csv, good, bad, message, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        model.write_text(reseal(model_file.read_text().replace(good, bad, 1)))
+        code, out, err = run(capsys, ["classify", str(model), str(features_csv)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
 
 class TestUndecodableInput:

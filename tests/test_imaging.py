@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csomtex import (
@@ -18,7 +20,7 @@ from csomtex import (
     quantize,
     save_pgm,
 )
-from helpers import image_from
+from helpers import FUZZ, image_from, mutations, pgm_oracle
 
 
 class TestLoadPgm:
@@ -222,3 +224,56 @@ class TestQuantize:
         q = out.pixels[0]
         assert (np.diff(q) >= 0).all()
         assert q.min() >= 0 and q.max() <= levels - 1
+
+
+# Bytes the reader gives meaning to, 2**63 - 1 and 2**63, and digit runs
+# past int64 and past Python's 4300-digit limit for int().
+_PGM_CHUNKS = st.one_of(
+    st.binary(min_size=1, max_size=4),
+    st.sampled_from(
+        [b"#", b"\r", b"\v", b"\f", b"\n", b" ", b"\t", b"\r\n", b"# c\n", b"0", b"007", b"255",
+         b"256", b"65535", b"65536", b"-", b"+", b"_", b"P2", b"P5", b"9223372036854775807",
+         b"9223372036854775808", b"9" * 20, b"0" * 30 + b"7", b"1" * 4301]
+    ),
+)
+_PGM_BASES = [
+    save_pgm(Image([[1, 2, 3], [4, 255, 6]], 255)),
+    save_pgm(Image([[0, 300], [65535, 12]], 65535)),
+    save_pgm(Image([[1, 2, 3], [4, 255, 6]], 255), binary=False),
+    b"P2 # magic\n# a comment line\n 2#w\n2\t\n15 # maxval\n0 1\r\n2 3\n",
+]
+_PGM_EDITS = st.one_of(*[mutations(base, _PGM_CHUNKS) for base in _PGM_BASES])
+
+
+def _outcome(read, data: bytes):
+    try:
+        img = read(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return img.max_value, img.pixels.tolist()
+
+
+class TestPgmOracle:
+    @settings(FUZZ, max_examples=1000)
+    @given(_PGM_EDITS)
+    @example(b"P2\n2 1\n255\n1 " + b"9" * 20 + b"\n")
+    @example(b"P2\n2 2\n255\n1 " + b"9" * 20 + b"\n")
+    @example(b"P2\n" + b"9" * 20 + b" 1\n255\n1\n")
+    @example(b"P5\n2 1\n" + b"1" * 4301 + b"\n\x00\x01")
+    @example(b"P2\n2 1\n255\n" + b"0" * 30 + b"7 1\n")
+    @example(b"P2\n2 1\n255\n1 # a comment ends at LF, not CR\r2\n")
+    @example(b"P2\n1 1\n255\n7 x\n")  # trailing data, not a bad sample
+    @example(b"P5\n2 1\n255\v\x00\x01")  # \v and \f are whitespace too
+    def test_load_pgm_agrees_with_oracle(self, data):
+        """``load_pgm`` and ``pgm_oracle`` agree on the pixels and max_value,
+        or on the error and its message.  The one difference allowed is a
+        token of 2**63 or more, which ``load_pgm`` reports as a FormatError
+        where the oracle raised OverflowError or Python's digit-limit
+        ValueError, or met it later as a short body or an out-of-range
+        maxval."""
+        got, want = _outcome(load_pgm, data), _outcome(pgm_oracle, data)
+        if got == want:
+            return
+        assert got[0] in (FormatError, TruncationError) and isinstance(want[0], type)
+        if want[0] not in (OverflowError, ValueError):
+            assert got[1].endswith("value too large") and re.search(rb"[0-9]{19}", data)

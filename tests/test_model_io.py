@@ -25,7 +25,7 @@ from csomtex import (
     train_csom,
     transform_replace,
 )
-from helpers import gaussian_blobs
+from helpers import gaussian_blobs, reseal
 
 ECHO = (("roi_mode", "blockwise"), ("texture_levels", "4"))
 
@@ -41,14 +41,6 @@ def small_model(pooled: bool = False, echo: tuple = ECHO):
         som = train(init_map(2, 2, z.dim, seed=0, data=z), z, sched)
         return FittedPipeline(proj, som=som, mode="append", echo=echo), z
     return FittedPipeline(proj, csom=train_csom(z, 2, 2, sched), echo=echo), z
-
-
-def reseal(text: str) -> str:
-    """Recompute the trailing checksum after editing the body, hashing a
-    non-ascii character as parse_model does, as one "?"."""
-    body = text[: text.index("[checksum]\n")] if "[checksum]\n" in text else text
-    digest = fnv1a64(body.encode("ascii", errors="replace"))
-    return body + "[checksum]\n" + f"fnv1a64 {digest:016x}\n"
 
 
 class TestFnv1a64:
@@ -143,7 +135,9 @@ class TestCorruption:
         with pytest.raises(FormatError, match="version"):
             parse_model(text)
 
-    @pytest.mark.parametrize("bad", ["+1", "1_0", "-1", "1.0", "\u0661"])
+    @pytest.mark.parametrize(
+        "bad", ["+1", "1_0", "-1", "1.0", "\u0661", pytest.param("1" * 5000, id="5000_digits")]
+    )
     def test_version_is_plain_digits(self, bad):
         model, _ = small_model()
         text = reseal(serialize_model(model).replace("version 1", f"version {bad}", 1))
@@ -160,6 +154,8 @@ class TestCorruption:
             ("matrix", "[matrix mean 1 5]", "[matrix mean 1 5]]"),
             ("matrix", "[matrix mean 1 5]", "[matrix mean +1 5]"),
             ("matrix", "[matrix mean 1 5]", "[matrix mean 1 0x5]"),
+            ("matrix", "[matrix mean 1 5]", "[matrix mean 9223372036854775808 5]"),
+            pytest.param("som", "[som 0 2 2]", "[som 0 2 " + "9" * 5000 + "]", id="som-5000_digits"),
         ],
     )
     def test_section_sizes_are_plain_digits_closed_once(self, kind, good, bad):
@@ -209,6 +205,18 @@ class TestCorruption:
         text = reseal(serialize_model(model).replace("[som 0 ", "[som x ", 1))
         with pytest.raises(FormatError, match="class id"):
             parse_model(text)
+
+    @pytest.mark.parametrize(
+        "tag", ["+2", "2_0", "-5", "\u0662", "9223372036854775808", "99999999999999999999"]
+    )
+    def test_class_tag_is_plain_digits_below_2_63(self, tag):
+        text = serialize_model(small_model()[0])
+        with pytest.raises(FormatError, match=r"^bad class id "):
+            parse_model(reseal(text.replace("[som 2 ", f"[som {tag} ", 1)))
+
+    def test_largest_class_tag_loads(self):
+        text = serialize_model(small_model()[0]).replace("[som 2 ", "[som 9223372036854775807 ", 1)
+        assert parse_model(reseal(text)).csom.class_ids.tolist() == [0, 1, 2**63 - 1]
 
     def test_truncated_body(self):
         model, _ = small_model()

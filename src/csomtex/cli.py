@@ -26,6 +26,7 @@ from .data import (
     UNLABELED,
     Dataset,
     dataset_to_csv,
+    plain_int,
     read_dataset,
     read_text,
     write_atomic,
@@ -58,11 +59,11 @@ def read_manifest(path) -> list[tuple[str, int]]:
         if not name:
             raise FormatError(f"{path}:{lineno}: missing filename")
         if cls:
-            try:
-                label = int(cls)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad class id {cls!r}") from exc
-            if label < 0:
+            negative = cls.startswith("-")
+            label = plain_int(cls[negative:])
+            if label is None:
+                raise FormatError(f"{path}:{lineno}: bad class id {cls!r}")
+            if negative and label:
                 raise FormatError(f"{path}:{lineno}: class ids must be >= 0")
             if label >= INT_LIMIT:
                 raise FormatError(f"{path}:{lineno}: class id too large; class ids must be < 2**63")

@@ -104,10 +104,10 @@ def classify(model: CsomModel, x) -> tuple[int, np.ndarray]:
 
     Returns the winning class id and the full vector of per-class BMU
     distances (ordered by ascending class id).  Ties break toward the lowest
-    class id.
+    class id.  It is the one-row case of classify_dataset.
     """
     _require_classes(model)
-    preds, errors = classify_dataset(model, Dataset(check_vector(x, model.dim, "model")[None, :]))
+    preds, errors = _winner_take_all(model, check_vector(x, model.dim, "model")[None, :])
     return int(preds[0]), errors[0]
 
 
@@ -121,9 +121,13 @@ def classify_dataset(model: CsomModel, data: Dataset) -> tuple[np.ndarray, np.nd
     _require_classes(model)
     if data.dim != model.dim:
         raise ShapeError(f"input dimension {data.dim} != model dimension {model.dim}")
-    errors = check_finite(nearest_units(model.maps, data.X)[1])
-    preds = model.class_ids[np.argmin(errors, axis=1)]
-    return preds, errors
+    return _winner_take_all(model, data.X)
+
+
+def _winner_take_all(model: CsomModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """classify_dataset of checked rows ``X``."""
+    errors = check_finite(nearest_units(model.maps, X)[1])
+    return model.class_ids[np.argmin(errors, axis=1)], errors
 
 
 def transform_replace(model: CsomModel, data: Dataset) -> Dataset:

@@ -84,6 +84,18 @@ def check_vector(x, dim: int, owner: str = "map") -> np.ndarray:
     return x
 
 
+def plain_int(text: str) -> int | None:
+    """``text`` as an integer if it is plain ASCII digits (no sign, space,
+    underscore or other numeral), else None.  A value of ``INT_LIMIT`` or
+    more, which no int64 field holds, comes back as ``INT_LIMIT``, however
+    many digits it has."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    if len(text.lstrip("0")) > 19:  # 19 digits hold every value below 2**63
+        return INT_LIMIT
+    return min(int(text), INT_LIMIT)
+
+
 def require_labels(data: Dataset) -> np.ndarray:
     """Return the label vector, rejecting datasets with any unlabeled row
     (or none at all)."""
@@ -135,11 +147,11 @@ def dataset_from_csv(text: str) -> Dataset:
         except ValueError:
             raise FormatError(f"non-numeric feature in dataset CSV row {i + 1}") from None
         if row[dim] != "":
-            try:
-                label = int(row[dim])
-            except ValueError:
-                raise FormatError(f"non-integer label in dataset CSV row {i + 1}") from None
-            if label < 0:
+            negative = row[dim].startswith("-")
+            label = plain_int(row[dim][negative:])
+            if label is None:
+                raise FormatError(f"non-integer label in dataset CSV row {i + 1}")
+            if negative and label:
                 raise FormatError(
                     f"negative label in dataset CSV row {i + 1}; class ids must be >= 0"
                 )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .csom import CsomModel
-from .data import INT_LIMIT, format_value, read_text, write_atomic
+from .data import INT_LIMIT, format_value, plain_int, read_text, write_atomic
 from .errors import FormatError, IntegrityError
 from .evaluation import MODES, FittedPipeline
 from .fisher import FisherProjection
@@ -105,23 +105,14 @@ def _parse_floats(line: str, want: int, context: str) -> np.ndarray:
         raise FormatError(f"{context}: {exc}") from exc
 
 
-def _plain_int(text: str) -> int | None:
-    """``text`` as an integer below 2**63 if it is plain ASCII digits (no
-    sign, space, underscore or other numeral), else None."""
-    if not (text.isascii() and text.isdigit()) or len(text.lstrip("0")) > 19:
-        return None  # 19 digits hold every value below 2**63
-    value = int(text)
-    return value if value < INT_LIMIT else None
-
-
 def _section(header: str, kind: str, name: str = "...") -> tuple[str, int, int]:
     """The (name, rows, cols) of a ``[kind name rows cols]`` header; ``name``
     is only for the message.  The sizes are plain digits, closed by one ``]``."""
     parts = header.split()
     if len(parts) != 4 or parts[0] != f"[{kind}" or not header.endswith("]"):
         raise FormatError(f"expected [{kind} {name}] section, got {header!r}")
-    rows, cols = _plain_int(parts[2]), _plain_int(parts[3][:-1])
-    if rows is None or cols is None:
+    rows, cols = plain_int(parts[2]), plain_int(parts[3][:-1])
+    if rows is None or cols is None or max(rows, cols) >= INT_LIMIT:
         raise FormatError(f"bad {kind} header {header!r}")
     return parts[1], rows, cols
 
@@ -174,8 +165,8 @@ def parse_model(text: str) -> FittedPipeline:
     if reader.take() != "[model]":
         raise FormatError("model file must start with a [model] section")
     stated_version = _read_keyword(reader, "version")
-    version = _plain_int(stated_version)
-    if version is None:
+    version = plain_int(stated_version)
+    if version is None or version >= INT_LIMIT:
         raise FormatError(f"bad version value {stated_version!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported model version {version}")
@@ -227,8 +218,8 @@ def parse_model(text: str) -> FittedPipeline:
         for tag, som in entries:
             if tag == POOLED:
                 raise FormatError("per-class file cannot contain a pooled map")
-            class_id = _plain_int(tag)
-            if class_id is None:
+            class_id = plain_int(tag)
+            if class_id is None or class_id >= INT_LIMIT:
                 raise FormatError(f"bad class id {tag!r}")
             class_entries.append((class_id, som))
         return FittedPipeline(

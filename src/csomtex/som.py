@@ -113,10 +113,14 @@ def init_map(rows: int, cols: int, dim: int, seed: int = 0, data=None) -> SomMap
 
 
 def distances(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """(n, m) Euclidean distances from each row of X to each row of W.  Each
-    sums its squares along the contiguous component axis, so row i is
-    bitwise ``np.linalg.norm(W - X[i], axis=1)``."""
-    return np.linalg.norm(X[:, None, :] - W[None, :, :], axis=2)
+    """Euclidean distances from each row of X to each row of W, a (units,
+    dim) matrix or a (maps, units, dim) stack: (n, units) or (n, maps,
+    units).  Each sums its squares along the contiguous component axis, so
+    row i is bitwise ``np.linalg.norm(W - X[i], axis=-1)``."""
+    d = X.reshape(X.shape[:1] + (1,) * (W.ndim - 1) + X.shape[1:]) - W
+    d *= d  # in place: a second temporary made large batches slower
+    d = np.add.reduce(d, axis=-1)
+    return np.sqrt(d, out=d)
 
 
 # Map queries, k-NN and Gaussian NB take their query rows in chunks whose
@@ -136,19 +140,36 @@ def nearest_units(maps, X: np.ndarray, pick=None) -> tuple[np.ndarray, np.ndarra
     the nearest unit (ties to the lowest), its distance and the distance of
     the map's farthest unit.  A row with ``pick[i] >= 0`` searches only map
     ``pick[i]``, any other row every map; the entries of a map a row does not
-    search are unset.  It holds one chunk of rows' distances to one map at
-    a time (see ``BATCH_BYTES``).  Rows far enough from a map overflow its
-    distances, which are left inf: pass what is used through
+    search are unset.  Maps of one weight shape are stacked and searched
+    together, one group of same-shape maps and one chunk of rows at a time
+    (see ``BATCH_BYTES``, which counts every map of the group); each
+    distance is bitwise that of ``distances``.  Rows far enough from a map
+    overflow its distances, which are left inf: pass what is used through
     ``check_finite``."""
     n = X.shape[0]
     unit = np.empty((n, len(maps)), dtype=np.int64)
     nearest, farthest = np.empty((2, n, len(maps)))
+    free = np.arange(n) if pick is None else np.flatnonzero(pick < 0)
+    groups = {}
+    for m, som in enumerate(maps if free.size else ()):
+        groups.setdefault(som.weights.shape, []).append(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, som in enumerate(maps):
-            rows = np.arange(n) if pick is None else np.flatnonzero((pick < 0) | (pick == m))
-            for chunk in _query_chunks(rows.size, 8 * som.weights.size):
+        for members in groups.values():
+            W = np.stack([maps[m].weights for m in members])
+            for chunk in _query_chunks(free.size, 8 * W.size):
+                r = free[chunk]
+                d = distances(X[r], W)
+                cells = r[:, None], members
+                unit[cells] = d.argmin(axis=2)
+                nearest[cells] = d.min(axis=2)
+                farthest[cells] = d.max(axis=2)
+        # a labeled row searches only its own map's weights
+        for m in () if pick is None else np.unique(pick[pick >= 0]):
+            rows = np.flatnonzero(pick == m)
+            weights = maps[m].weights
+            for chunk in _query_chunks(rows.size, 8 * weights.size):
                 r = rows[chunk]
-                d = distances(X[r], som.weights)
+                d = distances(X[r], weights)
                 unit[r, m] = d.argmin(axis=1)
                 nearest[r, m] = d.min(axis=1)
                 farthest[r, m] = d.max(axis=1)

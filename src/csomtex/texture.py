@@ -14,9 +14,11 @@ DEFAULT_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
 FEATURES_PER_GLCM = 4  # energy, contrast, entropy, homogeneity
 
-# extract_features counts regions in chunks of at most this many GLCM cells
-# (but at least one region), so a chunk holds max(levels**2, MAX_GLCM_BINS)
-# counts: no more than one region's matrix once that is the larger.
+# extract_features counts its (offset, region) rows in chunks of at most
+# this many GLCM cells (but at least one row), so a chunk holds
+# max(levels**2, MAX_GLCM_BINS) counts: no more than one region's matrix
+# once that is the larger.  A chunk may hold rows of several offsets; one
+# that held every offset of a large image was slower than one per offset.
 MAX_GLCM_BINS = 1 << 16
 
 # An 8-bit image has at most 256 gray values, and GLCM work grows as
@@ -76,7 +78,7 @@ def cooccurrence(
     if (dr, dc) == (0, 0):
         raise ValueError("offset must be non-zero")
     levels = img.max_value + 1
-    p, totals = _region_glcms(img, mask.member - 1, 0, 1, (dr, dc), symmetric)
+    p, totals = _region_glcms(img, mask.member - 1, [((dr, dc), 0, 1)], symmetric)
     return Glcm(levels, p.reshape(levels, levels), int(totals[0]))
 
 
@@ -103,30 +105,35 @@ def _diff2(levels: int) -> np.ndarray:
 
 
 def _region_glcms(
-    img: Image, labels: np.ndarray, lo: int, hi: int, offset: tuple[int, int], symmetric: bool
+    img: Image, labels: np.ndarray, spans, symmetric: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Co-occurrence matrices of regions lo..hi-1 of a label image at one offset.
+    """Co-occurrence matrices of spans of regions of a label image, in one count.
 
-    A pair is counted when both endpoints fall inside the image and in the
-    same region.  Returns ``(p, totals)``: p is (hi - lo, L*L) float64, each
-    region's flattened counts over its pair total (all zero without pairs),
-    and totals the (hi - lo,) int64 pair totals.
+    Each span ``(offset, lo, hi)`` stands for regions lo..hi-1 at one (dr,
+    dc) offset, and its matrices follow those of the spans before it.  A
+    pair is counted when both endpoints fall inside the image and in the
+    same region.  Returns ``(p, totals)``: p is (rows, L*L) float64, each
+    row's flattened counts over its pair total (all zero without pairs),
+    and totals the (rows,) int64 pair totals.
     """
     levels = img.max_value + 1
     h, w = img.height, img.width
-    dr, dc = offset
-    r0, r1 = max(0, -dr), min(h, h - dr)
-    c0, c1 = max(0, -dc), min(w, w - dc)
-    n = hi - lo
-    counts = np.zeros((n, levels, levels), dtype=np.int64)
-    if r0 < r1 and c0 < c1:
-        region = labels[r0:r1, c0:c1]
-        both = region == labels[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-        both &= (region >= lo) & (region < hi)
-        src = img.pixels[r0:r1, c0:c1][both]
-        dst = img.pixels[r0 + dr : r1 + dr, c0 + dc : c1 + dc][both]
-        cells = ((region[both] - lo) * levels + src) * levels + dst
-        counts = np.bincount(cells, minlength=n * levels * levels).reshape(n, levels, levels)
+    cells, n = [], 0
+    for (dr, dc), lo, hi in spans:
+        r0, r1 = max(0, -dr), min(h, h - dr)
+        c0, c1 = max(0, -dc), min(w, w - dc)
+        if r0 < r1 and c0 < c1:
+            region = labels[r0:r1, c0:c1]
+            both = region == labels[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+            both &= (region >= lo) & (region < hi)
+            src = img.pixels[r0:r1, c0:c1][both]
+            dst = img.pixels[r0 + dr : r1 + dr, c0 + dc : c1 + dc][both]
+            cells.append(((region[both] + (n - lo)) * levels + src) * levels + dst)
+        n += hi - lo
+    counts = np.bincount(
+        np.concatenate(cells) if cells else np.empty(0, dtype=np.int64),
+        minlength=n * levels * levels,
+    ).reshape(n, levels, levels)
     if symmetric:
         counts = counts + counts.transpose(0, 2, 1)
     flat = counts.reshape(n, -1)
@@ -173,7 +180,9 @@ def extract_features(
     The image must already be quantized to tex_cfg.levels gray levels.  For
     each region (in selection order) and each offset (in configured order)
     the four co-occurrence features of haralick4 and cooccurrence are
-    computed, every region of an offset in one count.  Pixelwise mode
+    computed.  The (offset, region) rows go offset-major in chunks of at
+    most MAX_GLCM_BINS GLCM cells, each chunk in one count and one Haralick
+    pass, so a small image takes every offset at once.  Pixelwise mode
     concatenates the per-region blocks, zero-padded to exactly ``sn``
     regions; blockwise mode averages each feature across blocks.
     ``regions`` is ``region_labels(img, roi_cfg)`` when the caller has it.
@@ -192,17 +201,23 @@ def extract_features(
     levels = tex_cfg.levels
     diff2 = _diff2(levels)
     chunk = max(1, MAX_GLCM_BINS // (levels * levels))
-    per_region = FEATURES_PER_GLCM * len(tex_cfg.offsets)
-    blocks = np.zeros((n_regions, per_region), dtype=np.float64)
-    for lo in range(0, n_regions, chunk):
-        hi = min(lo + chunk, n_regions)
-        for j, off in enumerate(tex_cfg.offsets):
-            p, _ = _region_glcms(img, regions, lo, hi, off, tex_cfg.symmetric)
-            cols = slice(j * FEATURES_PER_GLCM, (j + 1) * FEATURES_PER_GLCM)
-            blocks[lo:hi, cols] = _haralick_rows(p, diff2)
+    offsets = tex_cfg.offsets
+    # row k is offset k // n_regions of region k % n_regions
+    feats = np.empty((len(offsets), n_regions, FEATURES_PER_GLCM), dtype=np.float64)
+    rows = feats.reshape(-1, FEATURES_PER_GLCM)
+    for k0 in range(0, len(rows), chunk):
+        k1 = min(k0 + chunk, len(rows))
+        spans = [
+            (offsets[j], max(k0 - j * n_regions, 0), min(k1 - j * n_regions, n_regions))
+            for j in range(k0 // n_regions, (k1 - 1) // n_regions + 1)
+        ]
+        p, _ = _region_glcms(img, regions, spans, tex_cfg.symmetric)
+        rows[k0:k1] = _haralick_rows(p, diff2)
+    # region-major, each region's offsets in configured order
+    blocks = np.ascontiguousarray(feats.transpose(1, 0, 2)).reshape(n_regions, -1)
 
     if roi_cfg.mode == BLOCKWISE:
         return blocks.mean(axis=0)
-    out = np.zeros(roi_cfg.sn * per_region, dtype=np.float64)
+    out = np.zeros(roi_cfg.sn * blocks.shape[1], dtype=np.float64)
     out[: blocks.size] = blocks.ravel()
     return out

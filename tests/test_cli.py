@@ -821,6 +821,60 @@ class TestOversizedIntegers:
         assert err.startswith(f"error: {message}")
 
 
+class TestPlainDigitClassIds:
+    """A features-CSV label and a manifest class id are plain ASCII digits
+    below 2**63, as model-file integers are: a sign, a space, an underscore
+    or another numeral is a data error (exit 2), and so is a long number,
+    however many digits it has."""
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("+1", "non-integer label in dataset CSV row 2"),
+            ("1_0", "non-integer label in dataset CSV row 2"),
+            (" 1", "non-integer label in dataset CSV row 2"),
+            ("1 ", "non-integer label in dataset CSV row 2"),
+            ("9" * 5000, "label too large in dataset CSV row 2; class ids must be < 2**63"),
+            ("-" + "9" * 5000, "negative label in dataset CSV row 2; class ids must be >= 0"),
+        ],
+        ids=["plus", "underscore", "leading_space", "trailing_space", "5000_digits",
+             "minus_5000_digits"],
+    )
+    def test_features_label(self, label, message, tmp_path, capsys):
+        feats = tmp_path / "f.csv"
+        feats.write_text(f"f0,label\n0.5,0\n1.5,{label}\n2.5,1\n")
+        out = tmp_path / "m.txt"
+        got = run(capsys, ["train", str(feats), "-o", str(out)])
+        assert got == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cls, message",
+        [
+            ("+1", "bad class id '+1'"),
+            ("1_0", "bad class id '1_0'"),
+            ("٢", "bad class id '٢'"),
+            ("9" * 5000, "class id too large; class ids must be < 2**63"),
+            ("-" + "9" * 5000, "class ids must be >= 0"),
+        ],
+        ids=["plus", "underscore", "arabic_indic_two", "5000_digits", "minus_5000_digits"],
+    )
+    def test_manifest_class_id(self, cls, message, corpus, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{corpus}/imgs/c0_0.pgm,{cls}\n", encoding="utf-8")
+        out = tmp_path / "f.csv"
+        got = run(capsys, ["extract", str(manifest), "-o", str(out)])
+        assert got == (2, "", f"error: {manifest}:1: {message}\n")
+        assert not out.exists()
+
+    def test_minus_zero_stays_class_zero(self, corpus, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{corpus}/imgs/c0_0.pgm,0\n{corpus}/imgs/c0_1.pgm,-0\n")
+        out = tmp_path / "f.csv"
+        assert run(capsys, ["extract", str(manifest), "-o", str(out)])[0] == 0
+        assert [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]] == ["0", "0"]
+
+
 class TestUndecodableInput:
     def test_non_ascii_features(self, tmp_path, capsys):
         feats = tmp_path / "f.csv"

@@ -276,6 +276,62 @@ class TestTransforms:
                 tracemalloc.stop()
             assert peak < 4 * BATCH_BYTES, (query.__name__, peak)
 
+    def test_grouped_maps_hold_bounded_temporaries(self):
+        # seven 64x64 maps searched as one stack and a 1x1 map alone: a
+        # chunk of rows must count every map of the stack
+        rng = np.random.default_rng(1)
+        model = CsomModel(
+            [(cid, SomMap(64, 64, rng.random((4096, 6)))) for cid in range(7)]
+            + [(7, SomMap(1, 1, rng.random((1, 6))))]
+        )
+        X = rng.random((300, 6))
+        for query, labels in (
+            (classify_dataset, None),
+            (transform_replace, None),
+            (transform_replace, rng.integers(0, 8, size=300)),
+        ):
+            data = Dataset(X, labels)
+            tracemalloc.start()
+            try:
+                query(model, data)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * BATCH_BYTES, (query.__name__, labels is None, peak)
+
+    def test_grouped_maps_match_a_per_row_reference(self, monkeypatch):
+        # maps 0, 2 and 3 share a weight shape across two grids, as do maps
+        # 1 and 4; every row labeled, then none, in chunks of all rows and
+        # of one row or two
+        rng = np.random.default_rng(9)
+        grids = [(2, 2), (1, 3), (2, 2), (1, 4), (3, 1)]
+        model = CsomModel([
+            (cid, SomMap(r, c, rng.integers(0, 3, size=(r * c, 3)).astype(np.float64)))
+            for cid, (r, c) in zip((1, 2, 4, 6, 9), grids)
+        ])
+        X = rng.integers(0, 3, size=(30, 3)).astype(np.float64)
+        labels = rng.choice(model.class_ids, size=30)
+        errors = np.array([[np.linalg.norm(m.weights - x, axis=1).min() for m in model.maps] for x in X])
+
+        def prototype(x, maps):
+            d = [np.linalg.norm(m.weights - x, axis=1) for m in maps]
+            best = int(np.argmin([di.min() for di in d]))
+            return maps[best].weights[int(np.argmin(d[best]))]
+
+        own = np.array([prototype(x, [model.map_for(c)]) for x, c in zip(X, labels)])
+        nearest = np.array([prototype(x, model.maps) for x in X])
+        for batch_bytes in (BATCH_BYTES, 200):
+            monkeypatch.setattr("csomtex.som.BATCH_BYTES", batch_bytes)
+            preds, got = classify_dataset(model, Dataset(X, None))
+            np.testing.assert_array_equal(bits(got), bits(errors))
+            np.testing.assert_array_equal(preds, model.class_ids[errors.argmin(axis=1)])
+            for i, x in enumerate(X[:3]):
+                cid, err = classify(model, x)
+                assert cid == preds[i]
+                np.testing.assert_array_equal(bits(err), bits(errors[i]))
+            for data, expect in ((Dataset(X, labels), own), (Dataset(X, None), nearest)):
+                np.testing.assert_array_equal(bits(transform_replace(model, data).X), bits(expect))
+
     def test_overflow_follows_the_map_a_row_takes(self):
         # map 0's second unit is so far out that its distance overflows, but
         # its first is the nearest unit to x: winner-take-all compares the

@@ -74,6 +74,11 @@ _CSV = "f0,f1,label\n0.5,1e-3,0\n-2,3.25,1\n4,5,\n"
 @example("f0,label\n" + "1" * 200_000 + ",0\n")
 @example('f0,label\n"1\n2",0\n')
 @example("f0,label\n1,99999999999999999999\n")
+@example("f0,label\n1,+1\n2,1_0\n")
+@example("f0,label\n1,\u0662\n")
+@example("f0,label\n1,-0\n2, 1\n")
+@example("f0,label\n1," + "9" * 5000 + "\n")
+@example("f0,label\n1,-" + "9" * 5000 + "\n")
 def test_dataset_from_csv(text):
     _must_not_escape(dataset_from_csv, text)
 
@@ -122,6 +127,11 @@ _MANIFEST = b"# corpus\nimgs/a.pgm,0\nb,c.pgm , 1\nunlabeled.pgm\n"
 @example(b"a.pgm,-1\n")
 @example(b"\xff\xfe,0\n")
 @example(b"a.pgm,99999999999999999999\n")
+@example(b"a.pgm,+1\nb.pgm,1_0\n")
+@example("a.pgm,\u0662\n".encode())
+@example(b"a.pgm,-0\n")
+@example(b"a.pgm," + b"9" * 5000 + b"\n")
+@example(b"a.pgm,-" + b"9" * 5000 + b"\n")
 def test_read_manifest(tmp_path, data):
     path = tmp_path / "manifest.txt"
     path.write_bytes(data)

@@ -305,3 +305,15 @@ class TestBatchedMatchesPerRegion:
         tex = TextureConfig(levels, symmetric=levels == 256)
         got = extract_features(img, roi, tex)
         assert np.array_equal(bits(got), bits(features_oracle(img, roi, tex)))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_chunks_that_straddle_offsets(self, symmetric):
+        # 64 levels make 16-row chunks, and 100 blocks make 400 offset-major
+        # rows, so chunks end partway through an offset's regions
+        rng = np.random.default_rng(50 + symmetric)
+        img = random_image(rng, 50, 50, 64)
+        roi = RoiConfig(mode="blockwise", block_size=5)
+        tex = TextureConfig(64, symmetric=symmetric)
+        assert region_labels(img, roi).max() + 1 == 100
+        got = extract_features(img, roi, tex)
+        assert np.array_equal(bits(got), bits(features_oracle(img, roi, tex)))

@@ -14,6 +14,7 @@ import pytest
 import csomtex
 from csomtex import (
     Dataset,
+    FormatError,
     Image,
     classify,
     gnb_fit,
@@ -131,6 +132,30 @@ class TestManifest:
             p.write_text(text)
             with pytest.raises(exc):
                 read_manifest(p)
+
+
+    @pytest.mark.parametrize(
+        "text, exc, message",
+        [
+            ("# only comments\n\n", ValueError, "manifest {path} lists no images"),
+            ("a.pgm,0\n,3\n", FormatError, "{path}:2: missing filename"),
+            ("a.pgm,0\n , 3\n", FormatError, "{path}:2: missing filename"),
+            ("a.pgm,x\n", FormatError, "{path}:1: bad class id 'x'"),
+            ("a.pgm,-2\n", FormatError, "{path}:1: class ids must be >= 0"),
+            ("a.pgm,9223372036854775808\n", FormatError,
+             "{path}:1: class id too large; class ids must be < 2**63"),
+        ],
+        ids=["no_images", "missing_filename", "blank_filename", "class_id", "negative",
+             "too_large"],
+    )
+    def test_error_messages(self, text, exc, message, tmp_path):
+        """Every message the manifest reader raises, word for word."""
+        p = tmp_path / "m.txt"
+        p.write_text(text)
+        with pytest.raises(exc) as info:
+            read_manifest(p)
+        assert type(info.value) is exc
+        assert str(info.value) == message.format(path=p)
 
 
 class TestExtract:

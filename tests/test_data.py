@@ -135,6 +135,37 @@ class TestCsv:
             dataset_from_csv(f"f0,label\n1,0\n2,{label}\n3,1\n")
         assert dataset_from_csv("f0,label\n1,0\n2,-0\n").labels.tolist() == [0, 0]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("f0,label\n1\r2,0\n", "dataset CSV line 2 has a bare carriage return"),
+            ("f0,label\n" + "1" * 200_000 + ",0\n",
+             "dataset CSV line 2: field larger than field limit (131072)"),
+            ("", "dataset CSV is empty"),
+            ("\n\n", "dataset CSV is empty"),
+            ("f0\n", "dataset CSV header must be f0,...,label"),
+            ("f0,lab\n", "dataset CSV header must be f0,...,label"),
+            ("f1,label\n1,0\n", "dataset CSV feature columns must be named f0..f{dim-1}"),
+            ("f0,label\n1,0\n1\n", "dataset CSV row 2 has 1 fields, expected 2"),
+            ("f0,label\n1,0\n1,2,3\n", "dataset CSV row 2 has 3 fields, expected 2"),
+            ("f0,label\nx,1\n", "non-numeric feature in dataset CSV row 1"),
+            ("f0,label\n1,2.5\n", "non-integer label in dataset CSV row 1"),
+            ("f0,label\n1,9223372036854775808\n",
+             "label too large in dataset CSV row 1; class ids must be < 2**63"),
+            ("f0,label\n1,0\n2,-7\n",
+             "negative label in dataset CSV row 2; class ids must be >= 0"),
+            ("f0,label\nnan,1\n", "invalid dataset CSV: feature values must be finite"),
+        ],
+        ids=["bare_cr", "field_limit", "empty", "blank_lines", "one_column", "no_label_column",
+             "feature_names", "short_row", "long_row", "feature", "label", "label_too_large",
+             "negative_label", "nan"],
+    )
+    def test_malformed_input_messages(self, text, message):
+        """Every message the features-CSV reader raises, word for word."""
+        with pytest.raises(FormatError) as info:
+            dataset_from_csv(text)
+        assert str(info.value) == message
+
     def test_file_round_trip(self, tmp_path):
         d = Dataset(np.array([[np.pi, np.e]]), np.array([2]))
         p = tmp_path / "d.csv"

@@ -231,6 +231,129 @@ class TestCorruption:
             load_model(p)
 
 
+# A small per-class model written by hand, so that every message below,
+# digests included, is fixed text.
+_BASE = """# texture map model
+[model]
+version 1
+mode replace
+single_som 0
+[pipeline]
+roi_mode blockwise
+[matrix mean 1 3]
+0.5 -1 2
+[matrix pca 3 2]
+1 0
+0 1
+0 0
+[matrix lda 2 2]
+1 0
+0 0.5
+[som 0 1 2]
+0 1
+2 3
+[som 4 2 1]
+-1 -2
+-3 -4
+"""
+
+# (id, text replaced in _BASE, its replacement, the exact message); the
+# edited body is resealed, so each parse gets past the checksum
+_RESEALED = [
+    ("end_in_header", _BASE[_BASE.index("mode replace") :], "", "unexpected end of model file"),
+    ("end_in_som", "-3 -4\n", "", "unexpected end of model file"),
+    ("matrix_row_width", "0.5 -1 2", "0.5 -1 2 3", "matrix mean row 0: expected 3 values, got 4"),
+    ("matrix_row_float", "0.5 -1 2", "0.5 spam 2",
+     "matrix mean row 0: could not convert string to float: 'spam'"),
+    ("som_unit_width", "2 3\n", "2\n", "som 0 unit 1: expected 2 values, got 1"),
+    ("som_unit_float", "-3 -4", "-3 0x4", "som 4 unit 1: could not convert string to float: '0x4'"),
+    ("matrix_unclosed", "[matrix mean 1 3]", "[matrix mean 1 3",
+     "expected [matrix mean ...] section, got '[matrix mean 1 3'"),
+    ("matrix_fields", "[matrix pca 3 2]", "[matrix pca 3]",
+     "expected [matrix pca ...] section, got '[matrix pca 3]'"),
+    ("matrix_name", "[matrix lda 2 2]", "[matrix LDA 2 2]",
+     "expected [matrix lda ...] section, got '[matrix LDA 2 2]'"),
+    ("matrix_kind", "[matrix mean 1 3]", "[som mean 1 3]",
+     "expected [matrix mean ...] section, got '[som mean 1 3]'"),
+    ("matrix_closed_twice", "[matrix mean 1 3]", "[matrix mean 1 3]]",
+     "bad matrix header '[matrix mean 1 3]]'"),
+    ("matrix_sizes_before_name", "[matrix mean 1 3]", "[matrix avg +1 3]",
+     "bad matrix header '[matrix avg +1 3]'"),
+    ("matrix_empty", "[matrix pca 3 2]", "[matrix pca 0 2]",
+     "matrix pca must have positive shape, got 0x2"),
+    ("mean_rows", "[matrix mean 1 3]\n0.5 -1 2\n", "[matrix mean 2 3]\n0.5 -1 2\n1 1 1\n",
+     "mean must be a single row"),
+    ("lda_missing", "[matrix lda 2 2]\n1 0\n0 0.5\n", "",
+     "expected [matrix lda ...] section, got '[som 0 1 2]'"),
+    ("som_unclosed", "[som 4 2 1]", "[som 4 2 1", "expected [som ...] section, got '[som 4 2 1'"),
+    ("som_fields", "[som 4 2 1]", "[som 4 2]", "expected [som ...] section, got '[som 4 2]'"),
+    ("som_kind", "[som 4 2 1]", "[map 4 2 1]", "expected [som ...] section, got '[map 4 2 1]'"),
+    ("som_sizes", "[som 4 2 1]", "[som 4 2 -1]", "bad som header '[som 4 2 -1]'"),
+    ("som_empty", "[som 4 2 1]", "[som 4 0 1]", "som grid must be positive, got 0x1"),
+    ("stray_line", "-3 -4\n", "-3 -4\njunk\n", "expected [som ...] section, got 'junk'"),
+    ("no_maps", _BASE[_BASE.index("[som 0") :], "", "model file has no map sections"),
+    ("no_model", "[model]", "[models]", "model file must start with a [model] section"),
+    ("version_key", "version 1", "versions 1", "expected 'version <value>', got 'versions 1'"),
+    ("version_value", "version 1", "version +1", "bad version value '+1'"),
+    ("version_unsupported", "version 1", "version 0002", "unsupported model version 2"),
+    ("mode_value_missing", "mode replace", "mode", "expected 'mode <value>', got 'mode'"),
+    ("mode_value", "mode replace", "mode shuffle", "unknown mode 'shuffle'"),
+    ("single_som_value", "single_som 0", "single_som 00", "single_som must be 0 or 1, got '00'"),
+    ("echo_line", "roi_mode blockwise", "roi_mode",
+     "pipeline echo needs 'key value' lines, got 'roi_mode'"),
+    ("single_som_with_class_maps", "single_som 0", "single_som 1",
+     "single_som file must contain exactly one pooled map"),
+    ("pooled_map_per_class", "[som 4 ", "[som pooled ", "per-class file cannot contain a pooled map"),
+    ("class_id", "[som 4 ", "[som four ", "bad class id 'four'"),
+    ("class_ids_descending", "[som 0 ", "[som 5 ",
+     "inconsistent model contents: class ids must be strictly ascending"),
+    ("pca_rows", "[matrix pca 3 2]\n1 0\n0 1\n0 0\n", "[matrix pca 2 2]\n1 0\n0 1\n",
+     "inconsistent model contents: pca_basis rows must match the input dimension"),
+]
+
+# (id, whole file, the exact message) for the checksum lines themselves
+_SEALED = reseal(_BASE)
+_CHECKSUMS = [
+    ("no_checksum", _BASE, "model file must end with a [checksum] section"),
+    ("checksum_line", _SEALED.replace("fnv1a64 ", "md5 "), "bad checksum line 'md5 297bf9b58df67fc1'"),
+    ("digest_hex", _SEALED.replace("fc1\n", "fcz\n"), "bad checksum digest '297bf9b58df67fcz'"),
+    ("digest_length", _SEALED.replace("fc1\n", "fc\n"), "checksum digest must be 16 hex digits"),
+]
+
+
+class TestReaderMessages:
+    """Every message the model reader raises, word for word."""
+
+    def test_base_model_loads(self):
+        model = parse_model(_SEALED)
+        assert model.csom.class_ids.tolist() == [0, 4]
+        assert serialize_model(model).startswith(_BASE)
+
+    @pytest.mark.parametrize(
+        "old, new, message", [case[1:] for case in _RESEALED], ids=[case[0] for case in _RESEALED]
+    )
+    def test_resealed_edit(self, old, new, message):
+        assert _BASE.count(old) >= 1
+        with pytest.raises(FormatError) as info:
+            parse_model(reseal(_BASE.replace(old, new, 1)))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message", [case[1:] for case in _CHECKSUMS], ids=[case[0] for case in _CHECKSUMS]
+    )
+    def test_checksum_lines(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_model(text)
+        assert str(info.value) == message
+
+    def test_digest_mismatch(self):
+        with pytest.raises(IntegrityError) as info:
+            parse_model(_SEALED.replace("0.5 -1 2", "0.5 -1 3"))
+        assert str(info.value) == (
+            "checksum mismatch: file says 297bf9b58df67fc1, content hashes to 48d35e358060b0c0"
+        )
+
+
 class TestSavedModelValidation:
     def test_exactly_one_map_group(self):
         model, _ = small_model()

@@ -22,11 +22,11 @@ from . import __version__
 from .config import EvalColumn, ToolConfig, load_config
 from .csom import classify, classify_dataset
 from .data import (
-    INT_LIMIT,
     UNLABELED,
     Dataset,
+    class_id,
     dataset_to_csv,
-    plain_int,
+    int_field,
     read_dataset,
     read_text,
     write_atomic,
@@ -58,17 +58,15 @@ def read_manifest(path) -> list[tuple[str, int]]:
         cls = cls.strip()
         if not name:
             raise FormatError(f"{path}:{lineno}: missing filename")
+        label = UNLABELED
         if cls:
-            negative = cls.startswith("-")
-            label = plain_int(cls[negative:])
-            if label is None:
-                raise FormatError(f"{path}:{lineno}: bad class id {cls!r}")
-            if negative and label:
-                raise FormatError(f"{path}:{lineno}: class ids must be >= 0")
-            if label >= INT_LIMIT:
-                raise FormatError(f"{path}:{lineno}: class id too large; class ids must be < 2**63")
-        else:
-            label = UNLABELED
+            label = class_id(
+                cls,
+                "{path}:{line}: bad class id {text!r}",
+                "{path}:{line}: class ids must be >= 0",
+                "{path}:{line}: class id too large; class ids must be < 2**63",
+                path=path, line=lineno, text=cls,
+            )
         entries.append((name, label))
     if not entries:
         raise ValueError(f"manifest {path} lists no images")
@@ -257,12 +255,21 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: plain digits below 2**63, as the config ``seed`` key
+    takes.  A leading ``-`` is kept, for the settings check to reject."""
+    minus = text.startswith("-")
+    bad, too_large = "invalid int value: {text!r}", "seed too large; seeds must be < 2**63"
+    seed = int_field(text[minus:], bad, too_large, argparse.ArgumentTypeError, text=text)
+    return -seed if minus else seed
+
+
 @functools.cache  # parsing leaves no state on the parser, so one serves every main()
 def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="JSON config file")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, help="override the config seed (evaluate: seed list)")
+    seed.add_argument("--seed", type=_seed, help="override the config seed (evaluate: seed list)")
 
     parser = argparse.ArgumentParser(
         prog="csomtex",

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .data import read_text
+from .data import INT_LIMIT, int_field, read_text
 from .errors import DataError
 from .evaluation import CLASSIFIERS, PIPELINES, ExperimentConfig
 from .imaging import PreprocessConfig
@@ -97,7 +97,7 @@ class ToolConfig(ExperimentConfig):
 # Value kinds.  A reader takes (JSON key, value), checks the value and
 # returns the setting; JSON null never reaches one (it means "not set").
 
-_INT64 = range(-(2**63), 2**63)
+_INT64 = range(-INT_LIMIT, INT_LIMIT)
 
 
 def _is_int(value) -> bool:
@@ -135,13 +135,11 @@ _OFFSETS = _kind(
 def _holdout_counts(key: str, value) -> dict:
     if not isinstance(value, dict) or not all(map(_is_int, value.values())):
         raise ValueError(f"config key {key!r} must map class ids to integer counts")
-    bad = [k for k in value if not (k.isascii() and k.isdigit())]
-    if bad:
-        raise ValueError(
-            f"config key {key!r} must map class ids (ASCII digits) to integer counts, "
-            f"got {bad[0]!r}"
-        )
-    counts = {int(k): v for k, v in value.items()}
+    bad = "config key {key!r} must map class ids (ASCII digits) to integer counts, got {k!r}"
+    too_large = "config key {key!r} names a class id too large; class ids must be < 2**63"
+    counts = {
+        int_field(k, bad, too_large, ValueError, key=key, k=k): v for k, v in value.items()
+    }
     if len(counts) != len(value):
         raise ValueError(f"config key {key!r} names a class id twice")
     return counts

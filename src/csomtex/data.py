@@ -84,16 +84,48 @@ def check_vector(x, dim: int, owner: str = "map") -> np.ndarray:
     return x
 
 
-def plain_int(text: str) -> int | None:
+def plain_int(text: str | bytes) -> int | None:
     """``text`` as an integer if it is plain ASCII digits (no sign, space,
     underscore or other numeral), else None.  A value of ``INT_LIMIT`` or
     more, which no int64 field holds, comes back as ``INT_LIMIT``, however
-    many digits it has."""
+    many digits it has, and leading zeros count for nothing."""
     if not (text.isascii() and text.isdigit()):
         return None
-    if len(text.lstrip("0")) > 19:  # 19 digits hold every value below 2**63
+    digits = (text.decode("ascii") if isinstance(text, bytes) else text).lstrip("0")
+    if len(digits) > 19:  # 19 digits hold every value below 2**63
         return INT_LIMIT
-    return min(int(text), INT_LIMIT)
+    return min(int(digits or "0"), INT_LIMIT)
+
+
+def int_field(text: str | bytes, bad: str, too_large: str | None = None, error=FormatError, /,
+              **where) -> int:
+    """``text`` as an int64 field of an input: plain ASCII digits (see
+    ``plain_int``) of a value below 2**63.  Otherwise ``error`` of the
+    message template ``bad``, or for a value of 2**63 or more of
+    ``too_large`` if given, formatted with ``where``."""
+    value = plain_int(text)
+    if value is None:
+        raise error(bad.format(**where))
+    if value >= INT_LIMIT:
+        raise error((too_large or bad).format(**where))
+    return value
+
+
+def class_id(text: str, bad: str, negative: str, too_large: str, /, **where) -> int:
+    """``text`` as a class id: an int64 field (see ``int_field``) that may
+    start with ``-`` before a value of zero only.  So ``-0`` is class 0, and
+    ``-5`` is a FormatError of ``negative``."""
+    minus = text.startswith("-")
+    value = plain_int(text[minus:])
+    if value is None:
+        message = bad
+    elif minus and value:
+        message = negative
+    elif value >= INT_LIMIT:
+        message = too_large
+    else:
+        return value
+    raise FormatError(message.format(**where))
 
 
 def require_labels(data: Dataset) -> np.ndarray:
@@ -147,19 +179,13 @@ def dataset_from_csv(text: str) -> Dataset:
         except ValueError:
             raise FormatError(f"non-numeric feature in dataset CSV row {i + 1}") from None
         if row[dim] != "":
-            negative = row[dim].startswith("-")
-            label = plain_int(row[dim][negative:])
-            if label is None:
-                raise FormatError(f"non-integer label in dataset CSV row {i + 1}")
-            if negative and label:
-                raise FormatError(
-                    f"negative label in dataset CSV row {i + 1}; class ids must be >= 0"
-                )
-            if label >= INT_LIMIT:
-                raise FormatError(
-                    f"label too large in dataset CSV row {i + 1}; class ids must be < 2**63"
-                )
-            labels[i] = label
+            labels[i] = class_id(
+                row[dim],
+                "non-integer label in dataset CSV row {row}",
+                "negative label in dataset CSV row {row}; class ids must be >= 0",
+                "label too large in dataset CSV row {row}; class ids must be < 2**63",
+                row=i + 1,
+            )
     try:
         return Dataset(X, labels)
     except ValueError as exc:

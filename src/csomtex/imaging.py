@@ -14,6 +14,7 @@ from itertools import islice
 
 import numpy as np
 
+from .data import int_field
 from .errors import EmptyForegroundError, FormatError, TruncationError
 
 MAX_MAXVAL = 65535
@@ -76,21 +77,6 @@ class PreprocessConfig:
             raise ValueError("threshold must be >= 0")
 
 
-def _check_digits(tokens: list[bytes], what: str) -> None:
-    """Every token is plain ASCII digits: no sign, "_" or other numeral."""
-    if tokens and not b"".join(tokens).isdigit():
-        bad = next(tok for tok in tokens if not tok.isdigit())
-        raise FormatError(f"invalid {what} token {bad!r} in PGM header")
-
-
-def _int64(tokens: list[bytes], what: str) -> np.ndarray:
-    """Digit tokens as int64; a value of 2**63 or more is a FormatError."""
-    try:
-        return np.array(tokens, dtype=np.int64)
-    except (OverflowError, ValueError):  # ValueError: past Python's digit limit
-        raise FormatError(f"PGM {what} value too large") from None
-
-
 def load_pgm(data: bytes) -> Image:
     """Parse P2 (ASCII) or P5 (binary) PGM bytes into an Image.
 
@@ -106,10 +92,11 @@ def load_pgm(data: bytes) -> Image:
     magic = header[0][0]
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"not a PGM: bad magic {magic!r} (expected P2 or P5)")
-    values = []
-    for m, what in zip(header[1:], ("width", "height", "maxval")):
-        _check_digits([m[0]], what)
-        values.append(int(_int64([m[0]], what)[0]))
+    values = [
+        int_field(m[0], "invalid {what} token {token!r} in PGM header",
+                  "PGM {what} value too large", what=what, token=m[0])
+        for m, what in zip(header[1:], ("width", "height", "maxval"))
+    ]
     if len(values) < 3:
         raise TruncationError("PGM data ends inside the header")
     width, height, maxval = values
@@ -122,12 +109,17 @@ def load_pgm(data: bytes) -> Image:
     end = header[3].end()
     if magic == b"P2":
         samples = _COMMENTS.sub(b" ", data[end:]).split()
-        _check_digits(samples[:count], "pixel")
+        if samples and not b"".join(samples[:count]).isdigit():
+            bad = next(tok for tok in samples if not tok.isdigit())
+            raise FormatError(f"invalid pixel token {bad!r} in PGM body")
         if len(samples) < count:
             raise TruncationError(f"P2 body has {len(samples)} of {count} pixel values")
         if len(samples) > count:
             raise FormatError("trailing data after P2 pixel values")
-        pixels = _int64(samples, "pixel")
+        try:
+            pixels = np.array(samples, dtype=np.int64)
+        except (OverflowError, ValueError):  # ValueError: past Python's digit limit
+            raise FormatError("PGM pixel value too large") from None
     else:
         # Exactly one whitespace byte separates the maxval token from the raster.
         if not data[end : end + 1].isspace():

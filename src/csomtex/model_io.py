@@ -15,10 +15,12 @@ problems raise FormatError.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from .csom import CsomModel
-from .data import INT_LIMIT, format_value, plain_int, read_text, write_atomic
+from .data import format_value, int_field, read_text, write_atomic
 from .errors import FormatError, IntegrityError
 from .evaluation import MODES, FittedPipeline
 from .fisher import FisherProjection
@@ -72,27 +74,10 @@ def serialize_model(model: FittedPipeline) -> str:
     return body + "[checksum]\n" + f"fnv1a64 {digest:016x}\n"
 
 
-class _Lines:
-    """Sequential reader that skips comments and blank lines."""
-
-    def __init__(self, lines: list[str]) -> None:
-        self.lines = lines
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        while self.pos < len(self.lines):
-            stripped = self.lines[self.pos].strip()
-            if stripped and not stripped.startswith("#"):
-                return stripped
-            self.pos += 1
-        return None
-
-    def take(self) -> str:
-        line = self.peek()
-        if line is None:
-            raise FormatError("unexpected end of model file")
-        self.pos += 1
-        return line
+def _take(lines: deque) -> str:
+    if not lines:
+        raise FormatError("unexpected end of model file")
+    return lines.popleft()
 
 
 def _parse_floats(line: str, want: int, context: str) -> np.ndarray:
@@ -105,34 +90,35 @@ def _parse_floats(line: str, want: int, context: str) -> np.ndarray:
         raise FormatError(f"{context}: {exc}") from exc
 
 
-def _section(header: str, kind: str, name: str = "...") -> tuple[str, int, int]:
-    """The (name, rows, cols) of a ``[kind name rows cols]`` header; ``name``
-    is only for the message.  The sizes are plain digits, closed by one ``]``."""
+def _read_section(lines: deque, kind: str, name: str | None = None, dim: int | None = None):
+    """The next ``[kind name rows cols]`` section, its sizes plain digits
+    closed by one ``]``, and its lines of floats: ``(name, rows, cols,
+    values)``.  A matrix (no ``dim``) must be named ``name`` and holds rows
+    lines of cols values; a som map holds a line of ``dim`` values per unit."""
+    header = _take(lines)
     parts = header.split()
+    shown = "..." if name is None else f"{name} ..."
+    wanted = f"expected [{kind} {shown}] section, got {header!r}"
     if len(parts) != 4 or parts[0] != f"[{kind}" or not header.endswith("]"):
-        raise FormatError(f"expected [{kind} {name}] section, got {header!r}")
-    rows, cols = plain_int(parts[2]), plain_int(parts[3][:-1])
-    if rows is None or cols is None or max(rows, cols) >= INT_LIMIT:
-        raise FormatError(f"bad {kind} header {header!r}")
-    return parts[1], rows, cols
-
-
-def _read_matrix(reader: _Lines, name: str) -> np.ndarray:
-    header = reader.take()
-    tag, rows, cols = _section(header, "matrix", f"{name} ...")
-    if tag != name:
-        raise FormatError(f"expected [matrix {name} ...] section, got {header!r}")
+        raise FormatError(wanted)
+    bad = "bad {kind} header {header!r}"
+    rows, cols = (int_field(n, bad, kind=kind, header=header) for n in (parts[2], parts[3][:-1]))
+    if name not in (None, parts[1]):
+        raise FormatError(wanted)
+    name = parts[1]
     if rows < 1 or cols < 1:
-        raise FormatError(f"matrix {name} must have positive shape, got {rows}x{cols}")
-    # one row a line, each parsed before it is stored: a declared size the
-    # file does not hold fails on its lines, not on an allocation
-    return np.array(
-        [_parse_floats(reader.take(), cols, f"matrix {name} row {r}") for r in range(rows)]
-    )
+        if dim is None:
+            raise FormatError(f"matrix {name} must have positive shape, got {rows}x{cols}")
+        raise FormatError(f"som grid must be positive, got {rows}x{cols}")
+    # one line at a time, each parsed before it is stored: a declared size
+    # the file does not hold fails on its lines, not on an allocation
+    count, width, item = (rows, cols, "row") if dim is None else (rows * cols, dim, "unit")
+    values = [_parse_floats(_take(lines), width, f"{kind} {name} {item} {i}") for i in range(count)]
+    return name, rows, cols, np.array(values)
 
 
-def _read_keyword(reader: _Lines, key: str) -> str:
-    line = reader.take()
+def _read_keyword(lines: deque, key: str) -> str:
+    line = _take(lines)
     parts = line.split()
     if len(parts) != 2 or parts[0] != key:
         raise FormatError(f"expected '{key} <value>', got {line!r}")
@@ -161,50 +147,40 @@ def parse_model(text: str) -> FittedPipeline:
             f"checksum mismatch: file says {stated_digest:016x}, content hashes to {actual:016x}"
         )
 
-    reader = _Lines(lines[:-2])
-    if reader.take() != "[model]":
+    lines = deque(line for line in map(str.strip, lines[:-2]) if line and line[0] != "#")
+    if _take(lines) != "[model]":
         raise FormatError("model file must start with a [model] section")
-    stated_version = _read_keyword(reader, "version")
-    version = plain_int(stated_version)
-    if version is None or version >= INT_LIMIT:
-        raise FormatError(f"bad version value {stated_version!r}")
+    stated_version = _read_keyword(lines, "version")
+    version = int_field(stated_version, "bad version value {text!r}", text=stated_version)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported model version {version}")
-    mode = _read_keyword(reader, "mode")
+    mode = _read_keyword(lines, "mode")
     if mode not in MODES:
         raise FormatError(f"unknown mode {mode!r}")
-    single = _read_keyword(reader, "single_som")
+    single = _read_keyword(lines, "single_som")
     if single not in ("0", "1"):
         raise FormatError(f"single_som must be 0 or 1, got {single!r}")
 
     echo = []
-    if reader.peek() == "[pipeline]":
-        reader.take()
-        while True:
-            line = reader.peek()
-            if line is None or line.startswith("["):
-                break
-            key, _, value = reader.take().partition(" ")
+    if lines and lines[0] == "[pipeline]":
+        lines.popleft()
+        while lines and not lines[0].startswith("["):
+            line = lines.popleft()
+            key, _, value = line.partition(" ")
             if not key or not value:
                 raise FormatError(f"pipeline echo needs 'key value' lines, got {line!r}")
             echo.append((key, value))
 
-    mean = _read_matrix(reader, "mean")
+    mean = _read_section(lines, "matrix", "mean")[3]
     if mean.shape[0] != 1:
         raise FormatError("mean must be a single row")
-    pca = _read_matrix(reader, "pca")
-    lda = _read_matrix(reader, "lda")
+    pca = _read_section(lines, "matrix", "pca")[3]
+    lda = _read_section(lines, "matrix", "lda")[3]
 
     entries = []
-    while reader.peek() is not None:
-        tag, rows, cols = _section(reader.take(), "som")
-        if rows < 1 or cols < 1:
-            raise FormatError(f"som grid must be positive, got {rows}x{cols}")
-        dim = lda.shape[1]
-        weights = [
-            _parse_floats(reader.take(), dim, f"som {tag} unit {u}") for u in range(rows * cols)
-        ]
-        entries.append((tag, SomMap(rows, cols, np.array(weights))))
+    while lines:
+        tag, rows, cols, weights = _read_section(lines, "som", dim=lda.shape[1])
+        entries.append((tag, SomMap(rows, cols, weights)))
     if not entries:
         raise FormatError("model file has no map sections")
 
@@ -218,10 +194,7 @@ def parse_model(text: str) -> FittedPipeline:
         for tag, som in entries:
             if tag == POOLED:
                 raise FormatError("per-class file cannot contain a pooled map")
-            class_id = plain_int(tag)
-            if class_id is None or class_id >= INT_LIMIT:
-                raise FormatError(f"bad class id {tag!r}")
-            class_entries.append((class_id, som))
+            class_entries.append((int_field(tag, "bad class id {tag!r}", tag=tag), som))
         return FittedPipeline(
             fisher, csom=CsomModel(class_entries), mode=mode, echo=tuple(echo)
         )

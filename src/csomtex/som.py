@@ -142,10 +142,10 @@ def nearest_units(maps, X: np.ndarray, pick=None) -> tuple[np.ndarray, np.ndarra
     ``pick[i]``, any other row every map; the entries of a map a row does not
     search are unset.  Maps of one weight shape are stacked and searched
     together, one group of same-shape maps and one chunk of rows at a time
-    (see ``BATCH_BYTES``, which counts every map of the group); each
-    distance is bitwise that of ``distances``.  Rows far enough from a map
-    overflow its distances, which are left inf: pass what is used through
-    ``check_finite``."""
+    (see ``BATCH_BYTES``, which counts every map of the group); a picked
+    map is a stack of one.  Each distance is bitwise that of
+    ``distances``.  Rows far enough from a map overflow its distances,
+    which are left inf: pass what is used through ``check_finite``."""
     n = X.shape[0]
     unit = np.empty((n, len(maps)), dtype=np.int64)
     nearest, farthest = np.empty((2, n, len(maps)))
@@ -153,26 +153,21 @@ def nearest_units(maps, X: np.ndarray, pick=None) -> tuple[np.ndarray, np.ndarra
     groups = {}
     for m, som in enumerate(maps if free.size else ()):
         groups.setdefault(som.weights.shape, []).append(m)
+    # (rows, maps) jobs: the free rows against each group, and the rows
+    # that pick a map against that one map
+    jobs = [(free, np.array(members)) for members in groups.values()]
+    if pick is not None:
+        jobs += [(np.flatnonzero(pick == m), np.array([m])) for m in np.unique(pick[pick >= 0])]
     with np.errstate(over="ignore", invalid="ignore"):
-        for members in groups.values():
-            W = np.stack([maps[m].weights for m in members])
-            for chunk in _query_chunks(free.size, 8 * W.size):
-                r = free[chunk]
+        for rows, members in jobs:
+            W = np.array([maps[m].weights for m in members])
+            for chunk in _query_chunks(rows.size, 8 * W.size):
+                r = rows[chunk]
                 d = distances(X[r], W)
                 cells = r[:, None], members
                 unit[cells] = d.argmin(axis=2)
                 nearest[cells] = d.min(axis=2)
                 farthest[cells] = d.max(axis=2)
-        # a labeled row searches only its own map's weights
-        for m in () if pick is None else np.unique(pick[pick >= 0]):
-            rows = np.flatnonzero(pick == m)
-            weights = maps[m].weights
-            for chunk in _query_chunks(rows.size, 8 * weights.size):
-                r = rows[chunk]
-                d = distances(X[r], weights)
-                unit[r, m] = d.argmin(axis=1)
-                nearest[r, m] = d.min(axis=1)
-                farthest[r, m] = d.max(axis=1)
     return unit, nearest, farthest
 
 

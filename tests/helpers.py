@@ -145,10 +145,10 @@ class _Cursor:
             self.pos += 1
         return data[start : self.pos]
 
-    def next_int(self, what: str) -> int:
+    def next_int(self, what: str, part: str = "header") -> int:
         tok = self.next_token()
         if not tok.isdigit():  # ASCII digits only: no sign, "_" or other digits
-            raise FormatError(f"invalid {what} token {tok!r} in PGM header")
+            raise FormatError(f"invalid {what} token {tok!r} in PGM {part}")
         return int(tok)
 
 
@@ -178,7 +178,7 @@ def pgm_oracle(data: bytes) -> Image:
         values = []
         while len(values) < count:
             try:
-                values.append(cur.next_int("pixel"))
+                values.append(cur.next_int("pixel", "body"))
             except TruncationError:
                 raise TruncationError(
                     f"P2 body has {len(values)} of {count} pixel values"

@@ -900,6 +900,68 @@ class TestPlainDigitClassIds:
         assert [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]] == ["0", "0"]
 
 
+class TestSettingIntegers:
+    """A config holdout key and ``--seed`` are plain ASCII digits below 2**63
+    too.  Anything else is a usage error (exit 1), reported before any input
+    is read and without Python's own digit-limit text."""
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (["9" * 5000], "names a class id too large; class ids must be < 2**63"),
+            (["1" * 25, "2" * 25], "names a class id too large; class ids must be < 2**63"),
+            (["9223372036854775808"], "names a class id too large; class ids must be < 2**63"),
+        ],
+        ids=["5000_digits", "two_25_digit_keys", "2**63"],
+    )
+    def test_holdout_key(self, keys, message, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        counts = {key: 1 for key in keys}
+        cfg.write_text(json.dumps({"evaluate": {"mode": "holdout", "holdout_counts": counts}}))
+        argv = ["evaluate", str(tmp_path / "absent.csv"), "--config", str(cfg)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: config {cfg}: config key 'holdout_counts' {message}\n"
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            ("1_0", "invalid int value: '1_0'"),
+            (" 7", "invalid int value: ' 7'"),
+            ("+3", "invalid int value: '+3'"),
+            ("\u0662", "invalid int value: '\u0662'"),
+            ("1" * 30, "seed too large; seeds must be < 2**63"),
+            ("9223372036854775808", "seed too large; seeds must be < 2**63"),
+            ("9" * 5000, "seed too large; seeds must be < 2**63"),
+        ],
+        ids=["underscore", "leading_space", "plus", "arabic_indic_two", "30_digits", "2**63",
+             "5000_digits"],
+    )
+    def test_seed_flag(self, command, seed, message, tmp_path, capsys):
+        argv = [command, str(tmp_path / "absent.csv"), f"--seed={seed}"]
+        if command == "train":
+            argv += ["-o", str(tmp_path / "m.txt")]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument --seed: {message}\n")
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize(
+        "seed, same_as", [("007", "7"), ("-0", "0"), ("9223372036854775807", None)]
+    )
+    def test_seed_flag_takes_plain_digits(self, seed, same_as, features_csv, corpus, tmp_path,
+                                          capsys):
+        models = []
+        for flag in (seed, same_as or seed):
+            out = tmp_path / f"m{len(models)}.txt"
+            argv = ["train", str(features_csv), "--config", str(corpus / "config.json")]
+            assert run(capsys, argv + ["-o", str(out), f"--seed={flag}"])[0] == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
+
 class TestUndecodableInput:
     def test_non_ascii_features(self, tmp_path, capsys):
         feats = tmp_path / "f.csv"

@@ -20,10 +20,11 @@ import numpy as np
 
 from . import __version__
 from .config import EvalColumn, ToolConfig, load_config
-from .csom import classify, classify_dataset
+from .csom import classify_dataset
 from .data import (
     UNLABELED,
     Dataset,
+    check_vector,
     class_id,
     dataset_to_csv,
     int_field,
@@ -33,7 +34,7 @@ from .data import (
 )
 from .errors import DataError, FormatError, IntegrityError
 from .evaluation import MODES, FittedPipeline, run_experiments
-from .fisher import project, project_dataset
+from .fisher import project_dataset
 from .imaging import load_pgm, preprocess, quantize
 from .model_io import load_model, save_model
 from .roi import mask_to_rle, region_labels, region_masks
@@ -153,7 +154,7 @@ def cmd_train(args) -> int:
     cfg = _load_tool_config(args)
     kind = "som" if args.single_som else "csom"
     seed = cfg.seed if args.seed is None else args.seed
-    column = EvalColumn(f"{kind}-{args.mode}", cfg.map_rows, cfg.map_cols, kind)
+    column = EvalColumn(f"{kind}-{args.mode}", cfg.map_rows, cfg.map_cols)
     settings = cfg.experiment(column, cfg.classifier, seed)
     model = FittedPipeline.fit(read_dataset(args.features), settings)
     save_model(args.output, dc_replace(model, echo=_pipeline_echo(cfg, model.fisher.dim)))
@@ -181,28 +182,26 @@ def cmd_classify(args) -> int:
         raise DataError(
             "this model holds a single pooled map; classification needs per-class maps"
         )
-    class_ids = model.csom.class_ids
-    header = ["row", "predicted"]
-    err_cols = [f"err_{cid}" for cid in class_ids] if args.errors else []
-
+    if args.vector is None:
+        data = read_dataset(args.features)
+    else:
+        x = check_vector(_parse_vector(args.vector), model.fisher.input_dim, "projection")
+        data = Dataset(x[None, :])
+    feats = project_dataset(model.fisher, data)
+    preds, errors = classify_dataset(model.csom, feats.without_labels())
     if args.vector is not None:
-        x = project(model.fisher, _parse_vector(args.vector))
-        cid, errors = classify(model.csom, x)
-        line = str(cid)
-        if args.errors:
-            line += " " + " ".join(format(float(e), ".17g") for e in errors)
-        print(line)
+        errs = [format(float(e), ".17g") for e in errors[0]] if args.errors else []
+        print(" ".join([str(int(preds[0]))] + errs))
         return 0
 
-    data = read_dataset(args.features)
-    feats = project_dataset(model.fisher, data)
+    header = ["row", "predicted"]
+    err_cols = [f"err_{cid}" for cid in model.csom.class_ids] if args.errors else []
     labeled = bool((data.labels != UNLABELED).any())
     if labeled:
         header.insert(1, "label")
     lines = [",".join(header + err_cols)]
     correct = 0
     total = 0
-    preds, errors = classify_dataset(model.csom, feats.without_labels())
     for i, cid in enumerate(preds):
         cells = [str(i), str(int(cid))]
         if labeled:

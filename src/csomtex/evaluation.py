@@ -98,6 +98,13 @@ class ExperimentConfig:
             raise ValueError("steps_per_sample must be >= 1")
         self.schedule(1)  # TrainingSchedule checks the alpha and sigma endpoints
 
+    @property
+    def pipeline_parts(self) -> tuple[str, str]:
+        """The pipeline name ``KIND-MODE`` as (map kind, transform mode): kind
+        ``raw``, ``som`` or ``csom``, mode "" for ``raw``."""
+        kind, _, mode = self.pipeline.partition("-")
+        return kind, mode
+
     def schedule(self, n_samples: int) -> TrainingSchedule:
         """The training schedule for n_samples rows: steps_per_sample * n steps,
         sigma0 defaulting to half the larger grid side (at least sigma_final)."""
@@ -176,7 +183,7 @@ def fit_pipelines(tasks) -> list[FittedPipeline]:
     tasks = list(tasks)
     jobs = []  # (task index, class id or None, initial map, its rows, schedule)
     for i, (split, cfg, fisher) in enumerate(tasks):
-        kind = cfg.pipeline.partition("-")[0]
+        kind = cfg.pipeline_parts[0]
         if kind == "raw":
             continue
         z = project_dataset(fisher, split)
@@ -194,7 +201,7 @@ def fit_pipelines(tasks) -> list[FittedPipeline]:
         entries[i].append((cid, som))
     pipelines = []
     for (_, cfg, fisher), maps in zip(tasks, entries):
-        kind, _, mode = cfg.pipeline.partition("-")
+        kind, mode = cfg.pipeline_parts
         if kind == "raw":
             pipelines.append(FittedPipeline(fisher))
         elif kind == "csom":
@@ -379,7 +386,7 @@ class FoldModels:
 def fit_fold(train_split: Dataset, cfg: ExperimentConfig) -> FoldModels:
     """Fit Fisher, the configured map(s), and the classifier on one split."""
     pipeline = FittedPipeline.fit(train_split, cfg)
-    features = pipeline.transform(train_split, cfg.pipeline.partition("-")[2])
+    features = pipeline.transform(train_split, cfg.pipeline_parts[1])
     return FoldModels(pipeline, features, gnb_fit(features) if cfg.classifier == "gnb" else None)
 
 
@@ -391,7 +398,7 @@ def _classify(train_features: Dataset, gnb, X: np.ndarray, cfg: ExperimentConfig
 
 def predict_fold(models: FoldModels, test_split: Dataset, cfg: ExperimentConfig) -> np.ndarray:
     """Predict test labels; the transform never sees them."""
-    feats = models.pipeline.transform(test_split.without_labels(), cfg.pipeline.partition("-")[2])
+    feats = models.pipeline.transform(test_split.without_labels(), cfg.pipeline_parts[1])
     return _classify(models.train_features, models.gnb, feats.X, cfg)
 
 
@@ -429,9 +436,8 @@ def _split_key(cfg: ExperimentConfig) -> tuple:
 def _fit_key(cfg: ExperimentConfig) -> tuple:
     """The settings each fold's pipeline is fitted under; the first names
     the projection.  Configs that agree on them share the fits."""
-    kind = cfg.pipeline.partition("-")[0]
     fisher = (_split_key(cfg), cfg.fisher_dim)
-    return (fisher, kind, cfg.map_rows, cfg.map_cols, repr(cfg.schedule(1)))
+    return (fisher, cfg.pipeline_parts[0], cfg.map_rows, cfg.map_cols, repr(cfg.schedule(1)))
 
 
 def _projection(store: dict, fit: tuple, fold: int, train_split: Dataset, cfg: ExperimentConfig):
@@ -447,7 +453,7 @@ def _evaluate(
     confusion = np.zeros((class_ids.size, class_ids.size), dtype=np.int64)
     accuracies = []
     fit = _fit_key(cfg)
-    mode = cfg.pipeline.partition("-")[2]
+    mode = cfg.pipeline_parts[1]
     splits = _shared(store, _split_key(cfg), _splits, data, cfg)
     for fold, (train_split, test_split) in enumerate(splits):
         if test_split.n == 0:

@@ -146,18 +146,18 @@ def fit_fisher(data: Dataset, dim: int | None = None) -> FisherProjection:
 
 
 def _apply(proj: FisherProjection, X: np.ndarray) -> np.ndarray:
-    """lda^T pca^T (x - mean) of a vector or of each row; features so large
-    that the projection overflows are a DataError."""
+    """lda^T pca^T (x - mean) of each row, one row per product so that a row
+    projects to the same bits alone or in a batch; overflow is a DataError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        z = (X - proj.mean) @ proj.pca_basis @ proj.lda_basis
+        z = ((X - proj.mean)[:, None, :] @ proj.pca_basis @ proj.lda_basis)[:, 0, :]
     if not np.isfinite(z).all():
         raise DataError("feature magnitudes overflow the projection; rescale the features")
     return z
 
 
 def project(proj: FisherProjection, x) -> np.ndarray:
-    """Project a single vector of finite values: lda^T pca^T (x - mean)."""
-    return _apply(proj, check_vector(x, proj.input_dim, "projection"))
+    """Project one vector of finite values: the one-row case of project_dataset."""
+    return _apply(proj, check_vector(x, proj.input_dim, "projection")[None, :])[0]
 
 
 def project_dataset(proj: FisherProjection, data: Dataset) -> Dataset:

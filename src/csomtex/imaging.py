@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .data import int_field
+from .data import int_field, plain_int
 from .errors import EmptyForegroundError, FormatError, TruncationError
 
 MAX_MAXVAL = 65535
@@ -119,7 +119,10 @@ def load_pgm(data: bytes) -> Image:
         try:
             pixels = np.array(samples, dtype=np.int64)
         except (OverflowError, ValueError):  # ValueError: past Python's digit limit
-            raise FormatError("PGM pixel value too large") from None
+            try:  # plain_int drops any number of leading zeros, as the header reads them
+                pixels = np.array([plain_int(s) for s in samples], dtype=np.int64)
+            except OverflowError:
+                raise FormatError("PGM pixel value too large") from None
     else:
         # Exactly one whitespace byte separates the maxval token from the raster.
         if not data[end : end + 1].isspace():

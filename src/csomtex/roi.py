@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import int_field
 from .errors import FormatError
 from .imaging import Image
 
@@ -164,16 +165,17 @@ def mask_to_rle(mask: RegionMask) -> str:
 
 
 def mask_from_rle(line: str) -> RegionMask:
-    """Inverse of mask_to_rle."""
+    """Inverse of mask_to_rle.  Every token is an int64 field of plain ASCII
+    digits, and a line that is not a non-empty mask is a FormatError."""
     parts = line.split()
     if len(parts) < 3:
         raise FormatError(f"RLE mask line needs width, height and runs: {line!r}")
-    try:
-        width, height = int(parts[0]), int(parts[1])
-        runs = [int(p) for p in parts[2:]]
-    except ValueError:
-        raise FormatError(f"non-integer token in RLE mask line: {line!r}") from None
-    if sum(runs) != width * height or any(r < 0 for r in runs):
+    width, height, *runs = (
+        int_field(p, "non-integer token in RLE mask line: {line!r}",
+                  "RLE mask value too large in line {line!r}", line=line)
+        for p in parts
+    )
+    if sum(runs) != width * height:
         raise FormatError("RLE runs do not cover the declared mask size")
     flat = np.zeros(width * height, dtype=bool)
     pos = 0
@@ -183,4 +185,7 @@ def mask_from_rle(line: str) -> RegionMask:
             flat[pos : pos + run] = True
         pos += run
         inside = not inside
-    return RegionMask(flat.reshape(height, width))
+    try:
+        return RegionMask(flat.reshape(height, width))
+    except ValueError as exc:
+        raise FormatError(f"RLE mask line {line!r}: {exc}") from None

@@ -149,7 +149,7 @@ class _Cursor:
         tok = self.next_token()
         if not tok.isdigit():  # ASCII digits only: no sign, "_" or other digits
             raise FormatError(f"invalid {what} token {tok!r} in PGM {part}")
-        return int(tok)
+        return int(tok.lstrip(b"0") or b"0")  # leading zeros count for nothing
 
 
 def pgm_oracle(data: bytes) -> Image:

@@ -392,6 +392,16 @@ class TestClassify:
         parts = out.split()
         assert parts[0] == "0" and len(parts) == 1 + CLASSES
 
+    def test_vector_prints_the_cells_of_its_features_row(self, features_csv, model_file, capsys):
+        code, out, _ = run(capsys, ["classify", str(model_file), str(features_csv), "--errors"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        for line, cells in zip(features_csv.read_text().splitlines()[1:], rows, strict=True):
+            vec = ",".join(line.split(",")[:-1])
+            code, out, _ = run(capsys, ["classify", str(model_file), "--vector=" + vec, "--errors"])
+            assert code == 0
+            assert out.split() == cells[2:]  # predicted, then err_*
+
     def test_vector_with_a_negative_first_component(self, features_csv, model_file, capsys):
         # argparse reads a word that starts with "-" as an option, so such a
         # vector is passed as --vector=-1.5,...
@@ -452,9 +462,7 @@ class TestLibraryQueries:
         for x, cells in zip(read_dataset(features_csv).X, rows, strict=True):
             cid, errors = classify(model.csom, project(model.fisher, x))
             assert cid == int(cells[2])
-            # a projected vector and a projected matrix round differently
-            want = [float(v) for v in cells[3:]]
-            np.testing.assert_allclose(errors, want, rtol=1e-9, atol=1e-12)
+            assert errors.tolist() == [float(v) for v in cells[3:]]
 
     def test_gnb_predicts_one_row_as_the_batch_does(self, features_csv):
         data = read_dataset(features_csv)

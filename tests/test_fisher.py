@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csomtex import (
     DataError,
@@ -17,7 +19,7 @@ from csomtex import (
     project_dataset,
 )
 from csomtex.fisher import generalized_eigh, scatter_matrices
-from helpers import gaussian_blobs
+from helpers import FUZZ, gaussian_blobs
 
 
 def three_class_5d(seed: int = 0, n_per: int = 30) -> Dataset:
@@ -187,8 +189,33 @@ class TestProject:
         proj = fit_fisher(data, dim=2)
         z = project_dataset(proj, data)
         assert z.dim == 2
-        np.testing.assert_allclose(project(proj, data.X[7]), z.X[7], atol=1e-15)
+        assert project(proj, data.X[7]).tobytes() == z.X[7].tobytes()
         np.testing.assert_array_equal(z.labels, data.labels)
+
+    @settings(FUZZ, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        input_dim=st.integers(1, 67),
+        rows=st.integers(1, 300),
+        step=st.integers(1, 3),
+    )
+    def test_each_row_projects_alone_as_in_a_batch(self, seed, input_dim, rows, step):
+        """Row i of ``project_dataset`` is ``project`` of row i, bit for bit,
+        whatever the batch size and dimensions, also for rows read from a
+        strided view."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, input_dim + 1))
+        proj = FisherProjection(
+            rng.normal(size=input_dim),
+            rng.normal(size=(input_dim, k)),
+            rng.normal(size=(k, int(rng.integers(1, k + 1)))),
+        )
+        X = (rng.normal(size=(rows * step, input_dim * step)) * 10.0 ** rng.integers(-3, 4))[
+            ::step, ::step
+        ]
+        z = project_dataset(proj, Dataset(X)).X
+        for x, want in zip(X, z, strict=True):
+            assert project(proj, x).tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self):
         proj = fit_fisher(three_class_5d(), dim=2)

@@ -261,6 +261,8 @@ class TestPgmOracle:
     @example(b"P2\n" + b"9" * 20 + b" 1\n255\n1\n")
     @example(b"P5\n2 1\n" + b"1" * 4301 + b"\n\x00\x01")
     @example(b"P2\n2 1\n255\n" + b"0" * 30 + b"7 1\n")
+    @example(b"P2\n2 1\n255\n1 " + b"0" * 5000 + b"7\n")
+    @example(b"P2\n" + b"0" * 5000 + b"2 1\n255\n1 7\n")
     @example(b"P2\n2 1\n255\n1 # a comment ends at LF, not CR\r2\n")
     @example(b"P2\n1 1\n255\n7 x\n")  # trailing data, not a bad sample
     @example(b"P5\n2 1\n255\v\x00\x01")  # \v and \f are whitespace too

@@ -1,6 +1,6 @@
 """One grammar for the integer fields of every input file.
 
-A PGM header value, a model-file version, a features-CSV label, a manifest
+A PGM header value or P2 sample, a model-file version, a features-CSV label, a manifest
 class id and a config holdout key each accept a token exactly when
 ``plain_int`` reads it as a value below 2**63.  The two class-id fields of
 data files, the CSV label and the manifest id, also take ``-`` before a
@@ -49,6 +49,18 @@ def _pgm_width(token: str) -> int | None:
         if str(exc).startswith("invalid width token") or str(exc) == "PGM width value too large":
             return None
         return plain_int(token)  # a size the body does not match
+
+
+def _pgm_sample(token: str) -> int | None:
+    """The sample ``load_pgm`` reads from a P2 body token, or None if it
+    rejects the token itself."""
+    try:
+        return int(load_pgm(b"P2 1 1 255\n" + token.encode() + b"\n").pixels[0, 0])
+    except FormatError as exc:
+        if str(exc).startswith("invalid pixel token") or str(exc) == "PGM pixel value too large":
+            return None
+        assert str(exc) == "PGM contains pixel values above the declared maxval"
+        return plain_int(token)
 
 
 def _model_version(token: str) -> int | None:
@@ -107,6 +119,7 @@ def test_every_integer_field_reads_a_token_as_plain_int_does(token, tmp_path):
     assert _holdout_key(token) == want
     if " " not in token:  # whitespace separates PGM and model-file tokens
         assert _pgm_width(token) == want
+        assert _pgm_sample(token) == want
         assert _model_version(token) == want
 
 
@@ -115,6 +128,23 @@ class TestMessages:
         with pytest.raises(FormatError) as info:
             load_pgm(b"P2\n2 1\n255\n1 +2\n")
         assert str(info.value) == "invalid pixel token b'+2' in PGM body"
+
+    def test_p2_sample_with_many_leading_zeros_reads_as_the_header_does(self):
+        assert load_pgm(b"P2\n2 1\n255\n1 " + b"0" * 5000 + b"7\n").pixels.tolist() == [[1, 7]]
+
+    @pytest.mark.parametrize(
+        "sample, message",
+        [
+            (b"0" * 5000 + b"256", "PGM contains pixel values above the declared maxval"),
+            (b"9" * 5000, "PGM pixel value too large"),
+            (b"9223372036854775808", "PGM pixel value too large"),
+        ],
+        ids=["padded_256", "5000_nines", "2**63"],
+    )
+    def test_p2_sample_with_many_digits(self, sample, message):
+        with pytest.raises(FormatError) as info:
+            load_pgm(b"P2\n2 1\n255\n1 " + sample + b"\n")
+        assert str(info.value) == message
 
     def test_bad_header_value_names_the_header(self):
         with pytest.raises(FormatError) as info:

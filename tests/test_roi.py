@@ -159,11 +159,22 @@ class TestRle:
         assert mask_from_rle(mask_to_rle(mask)) == mask
 
     def test_bad_lines_rejected(self):
-        with pytest.raises(FormatError):
-            mask_from_rle("3 2")
-        with pytest.raises(FormatError):
-            mask_from_rle("2 2 1 x")
-        with pytest.raises(FormatError):
-            mask_from_rle("2 2 1 1")  # runs cover 2 of 4 pixels
-        with pytest.raises(FormatError):
-            mask_from_rle("2 2 5 -1")
+        big = str(2**63)
+        cases = {
+            "3 2": "RLE mask line needs width, height and runs: '3 2'",
+            "2 2 1 x": "non-integer token in RLE mask line: '2 2 1 x'",
+            "2 2 1 1": "RLE runs do not cover the declared mask size",  # 2 of 4 pixels
+            "2 2 5 -1": "non-integer token in RLE mask line: '2 2 5 -1'",
+            # every token is plain ASCII digits, as in every other reader
+            "+2 1_0 1_9 +1": "non-integer token in RLE mask line: '+2 1_0 1_9 +1'",
+            "2 ٢ 1 3": "non-integer token in RLE mask line: '2 ٢ 1 3'",
+            f"{big} 1 1": f"RLE mask value too large in line '{big} 1 1'",
+            # lines that add up but are no mask
+            "0 0 0": "RLE mask line '0 0 0': mask must be a non-empty 2-D grid",
+            "1 1 1": "RLE mask line '1 1 1': empty masks are never emitted",
+        }
+        for line, message in cases.items():
+            with pytest.raises(FormatError) as info:
+                mask_from_rle(line)
+            assert str(info.value) == message, line
+        assert mask_from_rle("2 1 01 1") == RegionMask(np.array([[False, True]]))

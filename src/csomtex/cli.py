@@ -27,6 +27,7 @@ from .data import (
     check_vector,
     class_id,
     dataset_to_csv,
+    format_value,
     int_field,
     read_dataset,
     read_text,
@@ -168,10 +169,16 @@ def cmd_transform(args) -> int:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ValueError("--vector needs at least one component")
-    return np.array([float(p) for p in parts], dtype=np.float64)
+    """A --vector value: comma-separated components, each read as a
+    features-CSV cell is.  An empty or non-numeric one is a usage error."""
+    values = []
+    for i, part in enumerate(text.split(","), start=1):
+        try:
+            values.append(float(part))
+        except ValueError:
+            problem = "is empty" if not part.strip() else f"is not a number: {part!r}"
+            raise ValueError(f"--vector component {i} {problem}") from None
+    return np.array(values, dtype=np.float64)
 
 
 def cmd_classify(args) -> int:
@@ -190,7 +197,7 @@ def cmd_classify(args) -> int:
     feats = project_dataset(model.fisher, data)
     preds, errors = classify_dataset(model.csom, feats.without_labels())
     if args.vector is not None:
-        errs = [format(float(e), ".17g") for e in errors[0]] if args.errors else []
+        errs = [format_value(e) for e in errors[0]] if args.errors else []
         print(" ".join([str(int(preds[0]))] + errs))
         return 0
 
@@ -211,7 +218,7 @@ def cmd_classify(args) -> int:
                 total += 1
                 correct += int(true == cid)
         if args.errors:
-            cells.extend(format(float(e), ".17g") for e in errors[i])
+            cells.extend(format_value(e) for e in errors[i])
         lines.append(",".join(cells))
     _emit(args.output, "\n".join(lines) + "\n")
     if labeled and total:

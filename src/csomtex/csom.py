@@ -10,7 +10,6 @@ import numpy as np
 from .data import Dataset, check_vector, require_labels
 from .errors import DataError, ShapeError
 from .som import (
-    SomMap,
     TrainingSchedule,
     check_finite,
     compose,
@@ -53,12 +52,6 @@ class CsomModel:
     @property
     def dim(self) -> int:
         return self.entries[0][1].dim
-
-    def map_for(self, class_id: int) -> SomMap:
-        for cid, som in self.entries:
-            if cid == class_id:
-                return som
-        raise DataError(f"model has no map for class {class_id}")
 
 
 def split_by_class(data: Dataset) -> list[tuple[int, Dataset]]:

@@ -234,9 +234,5 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def write_dataset(path, data: Dataset) -> None:
-    write_atomic(path, dataset_to_csv(data))
-
-
 def read_dataset(path) -> Dataset:
     return dataset_from_csv(read_text(path, "ascii", newline=""))

@@ -10,6 +10,7 @@ through the model.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,23 +384,30 @@ class FoldModels:
         return self.pipeline.som
 
 
-def fit_fold(train_split: Dataset, cfg: ExperimentConfig) -> FoldModels:
-    """Fit Fisher, the configured map(s), and the classifier on one split."""
-    pipeline = FittedPipeline.fit(train_split, cfg)
-    features = pipeline.transform(train_split, cfg.pipeline_parts[1])
+def _fold_models(pipeline: FittedPipeline, train_lookup: tuple, cfg: ExperimentConfig):
+    """The fold's classifier input: the training split's lookup composed in
+    the config's mode, and a GNB model on it when the classifier is GNB."""
+    features = compose(*train_lookup, cfg.pipeline_parts[1])
     return FoldModels(pipeline, features, gnb_fit(features) if cfg.classifier == "gnb" else None)
 
 
-def _classify(train_features: Dataset, gnb, X: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+def _predict(models: FoldModels, test_lookup: tuple, cfg: ExperimentConfig) -> np.ndarray:
+    """Classify the test split's lookup, composed in the config's mode."""
+    X = compose(*test_lookup, cfg.pipeline_parts[1]).X
     if cfg.classifier == "knn":
-        return knn_predict_batch(train_features, X, cfg.knn_k)
-    return gnb.predict_batch(X)
+        return knn_predict_batch(models.train_features, X, cfg.knn_k)
+    return models.gnb.predict_batch(X)
+
+
+def fit_fold(train_split: Dataset, cfg: ExperimentConfig) -> FoldModels:
+    """Fit Fisher, the configured map(s), and the classifier on one split."""
+    pipeline = FittedPipeline.fit(train_split, cfg)
+    return _fold_models(pipeline, pipeline.lookup(train_split), cfg)
 
 
 def predict_fold(models: FoldModels, test_split: Dataset, cfg: ExperimentConfig) -> np.ndarray:
     """Predict test labels; the transform never sees them."""
-    feats = models.pipeline.transform(test_split.without_labels(), cfg.pipeline_parts[1])
-    return _classify(models.train_features, models.gnb, feats.X, cfg)
+    return _predict(models, models.pipeline.lookup(test_split.without_labels()), cfg)
 
 
 def _score(
@@ -410,16 +418,11 @@ def _score(
 
 
 def _shared(store: dict, key: tuple, make, *args):
-    """``make(*args)``, made once per run under ``key`` in ``store``.  A step
-    that fails stores its error, raised again to every config that reaches
-    it."""
+    """``make(*args)``, made once per run under ``key`` in ``store``.  Only
+    values are kept: a step that fails raises, and fails again when asked
+    for again, as every step made here is deterministic."""
     if key not in store:
-        try:
-            store[key] = make(*args)
-        except (DataError, ValueError) as exc:
-            store[key] = exc
-    if isinstance(store[key], Exception):
-        raise store[key]
+        store[key] = make(*args)
     return store[key]
 
 
@@ -447,9 +450,10 @@ def _projection(store: dict, fit: tuple, fold: int, train_split: Dataset, cfg: E
 def _evaluate(
     store: dict, data: Dataset, class_ids: np.ndarray, cfg: ExperimentConfig
 ) -> EvaluationReport:
-    """Score ``cfg`` alone, fold by fold, from the fits in ``store``, sharing
-    each fold's prototype lookups and GNB model with the configs scored
-    before it.  Raises at the first failing fold."""
+    """Score ``cfg`` alone, fold by fold, as ``predict_fold(fit_fold(...))``
+    would, from the fits in ``store``, sharing each fold's prototype lookups
+    and classifier input with the configs scored before it.  Raises at the
+    first failing fold."""
     confusion = np.zeros((class_ids.size, class_ids.size), dtype=np.int64)
     accuracies = []
     fit = _fit_key(cfg)
@@ -458,20 +462,20 @@ def _evaluate(
     for fold, (train_split, test_split) in enumerate(splits):
         if test_split.n == 0:
             raise DataError(f"fold {fold} has an empty test split")
-        # a lone run's steps: projection, training lookup, GNB fit, test
-        # lookup, prediction; both transform modes compose from one lookup
+        # fit_fold's steps, then predict_fold's; both transform modes
+        # compose from one lookup
         try:
-            _projection(store, fit, fold, train_split, cfg)
+            _projection(store, fit, fold, train_split, cfg)  # raises what planning met
             pipeline = store["fit", fit, fold]
             train_lookup = _shared(store, ("train", fit, fold), pipeline.lookup, train_split)
-            train_feats = compose(*train_lookup, mode)
-            gnb = None
-            if cfg.classifier == "gnb":
-                gnb = _shared(store, ("gnb", fit, fold, mode), gnb_fit, train_feats)
+            models = _shared(
+                store, ("models", fit, fold, mode, cfg.classifier == "gnb"),
+                _fold_models, pipeline, train_lookup, cfg,
+            )
             test_lookup = _shared(
                 store, ("test", fit, fold), pipeline.lookup, test_split.without_labels()
             )
-            preds = _classify(train_feats, gnb, compose(*test_lookup, mode).X, cfg)
+            preds = _predict(models, test_lookup, cfg)
         except (DataError, ValueError) as exc:
             raise DataError(f"fold {fold}: {exc}") from exc
         accuracies.append(_score(class_ids, test_split.labels, preds, confusion))
@@ -494,24 +498,22 @@ def run_experiments(data: Dataset, cfgs) -> list[EvaluationReport]:
     engine call; then each configuration is scored alone, in order, as
     ``run_experiment`` would score it, so the reports and the first error
     raised are those of running each configuration by itself.  Each fold's
-    lookups (one per fit and side) and GNB models are kept for the run.
+    lookups (one per fit and side) and classifier inputs are kept for the
+    run.  A split or projection that fails while the fits are planned is
+    left out, and fails again when its configuration is scored.
     """
     require_labels(data)
     cfgs = list(cfgs)
     store = {}
     tasks = {}  # pipeline key -> (training split, config, projection), in first-use order
     for cfg in cfgs:
-        try:
+        with contextlib.suppress(DataError, ValueError):
             splits = _shared(store, _split_key(cfg), _splits, data, cfg)
-        except (DataError, ValueError):
-            continue  # raised again when cfg is scored
-        fit = _fit_key(cfg)
-        for fold, (train_split, _) in enumerate(splits):
-            try:
-                fisher = _projection(store, fit, fold, train_split, cfg)
-            except (DataError, ValueError):
-                continue
-            tasks.setdefault(("fit", fit, fold), (train_split, cfg, fisher))
+            fit = _fit_key(cfg)
+            for fold, (train_split, _) in enumerate(splits):
+                with contextlib.suppress(DataError, ValueError):
+                    fisher = _projection(store, fit, fold, train_split, cfg)
+                    tasks.setdefault(("fit", fit, fold), (train_split, cfg, fisher))
     store.update(zip(tasks, fit_pipelines(tasks.values())))
     class_ids = data.class_ids
     return [_evaluate(store, data, class_ids, cfg) for cfg in cfgs]

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DataError, ShapeError
 from .imaging import Image
-from .roi import BLOCKWISE, PIXELWISE, RegionMask, RoiConfig, region_labels
+from .roi import BLOCKWISE, RegionMask, RoiConfig, region_labels
 
 DEFAULT_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
@@ -88,14 +88,6 @@ def haralick4(g: Glcm) -> tuple[float, float, float, float]:
     An empty matrix (pair_count 0) yields (0, 0, 0, 0).
     """
     return tuple(_haralick_rows(g.p.reshape(1, -1), _diff2(g.levels))[0].tolist())
-
-
-def feature_length(roi_cfg: RoiConfig, tex_cfg: TextureConfig) -> int:
-    """Output dimension of extract_features, fixed by configuration alone."""
-    per_region = FEATURES_PER_GLCM * len(tex_cfg.offsets)
-    if roi_cfg.mode == PIXELWISE:
-        return roi_cfg.sn * per_region
-    return per_region
 
 
 def _diff2(levels: int) -> np.ndarray:

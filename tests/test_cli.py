@@ -423,6 +423,25 @@ class TestClassify:
         assert out == ""
         assert "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "vec, message",
+        [
+            ("1,,2", "--vector component 2 is empty"),
+            ("1,2,", "--vector component 3 is empty"),
+            ("1, ,2", "--vector component 2 is empty"),
+            ("1 2", "--vector component 1 is not a number: '1 2'"),
+            ("1,x", "--vector component 2 is not a number: 'x'"),
+        ],
+        ids=["doubled_comma", "trailing_comma", "blank", "space_separated", "word"],
+    )
+    def test_vector_components_are_comma_separated_numbers(
+        self, model_file, vec, message, capsys
+    ):
+        # a --vector reads as the cells of one features-CSV row: split on
+        # commas only, each cell a number, none left empty
+        code, out, err = run(capsys, ["classify", str(model_file), "--vector=" + vec])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_pooled_model_rejected(self, corpus, features_csv, tmp_path, capsys):
         pooled = tmp_path / "p.txt"
         main(["train", str(features_csv), "-o", str(pooled),

@@ -50,11 +50,9 @@ class TestModelType:
         with pytest.raises(ValueError):
             CsomModel([(0, SomMap(1, 1, np.zeros((1, 2)))), (1, SomMap(1, 1, np.zeros((1, 3))))])
 
-    def test_map_for(self):
+    def test_entries_give_each_class_its_map(self):
         model = two_class_model()
-        assert model.map_for(1).weights[0, 0] == 10.0
-        with pytest.raises(DataError):
-            model.map_for(7)
+        assert dict(model.entries)[1].weights[0, 0] == 10.0
 
 
 class TestSplitByClass:
@@ -84,7 +82,7 @@ class TestTrainCsom:
             share = max(1, round(sched.iterations * sub.n / data.n))
             som = init_map(2, 2, 3, seed=sched.seed + cid, data=sub)
             expect = train(som, sub, replace(sched, iterations=share))
-            np.testing.assert_array_equal(model.map_for(cid).weights, expect.weights)
+            np.testing.assert_array_equal(dict(model.entries)[cid].weights, expect.weights)
 
     def test_iteration_budget_is_conserved(self):
         data = gaussian_blobs([30, 10, 20], dim=2, seed=1)
@@ -242,7 +240,7 @@ class TestTransforms:
             for data in (Dataset(X, labels), Dataset(X, None)):
                 expect = []
                 for x, label in zip(X, data.labels):
-                    maps = [model.map_for(label)] if label != UNLABELED else model.maps
+                    maps = [dict(model.entries)[label]] if label != UNLABELED else model.maps
                     d = [np.linalg.norm(som.weights - x, axis=1) for som in maps]
                     best = int(np.argmin([di.min() for di in d]))
                     expect.append(maps[best].weights[int(np.argmin(d[best]))])
@@ -318,7 +316,7 @@ class TestTransforms:
             best = int(np.argmin([di.min() for di in d]))
             return maps[best].weights[int(np.argmin(d[best]))]
 
-        own = np.array([prototype(x, [model.map_for(c)]) for x, c in zip(X, labels)])
+        own = np.array([prototype(x, [dict(model.entries)[c]]) for x, c in zip(X, labels)])
         nearest = np.array([prototype(x, model.maps) for x in X])
         for batch_bytes in (BATCH_BYTES, 200):
             monkeypatch.setattr("csomtex.som.BATCH_BYTES", batch_bytes)
@@ -351,9 +349,9 @@ class TestTransforms:
         np.testing.assert_array_equal(out.X, [[0.5, 0.0, 5.0, 5.0]])
         row = Dataset(x[None], None)
         with pytest.raises(DataError, match="overflow the map distances"):
-            compose(row, winning_prototypes([model.map_for(0)], row), "replace")
+            compose(row, winning_prototypes([dict(model.entries)[0]], row), "replace")
         np.testing.assert_array_equal(
-            compose(row, winning_prototypes([model.map_for(1)], row), "replace").X, [[5.0, 5.0]]
+            compose(row, winning_prototypes([dict(model.entries)[1]], row), "replace").X, [[5.0, 5.0]]
         )
         # a map out of reach altogether: a row that compares the maps
         # overflows, one labeled with the other class does not

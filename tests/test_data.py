@@ -18,7 +18,6 @@ from csomtex import (
     dataset_from_csv,
     dataset_to_csv,
     read_dataset,
-    write_dataset,
 )
 from csomtex.data import format_value, require_labels, write_atomic
 
@@ -169,7 +168,7 @@ class TestCsv:
     def test_file_round_trip(self, tmp_path):
         d = Dataset(np.array([[np.pi, np.e]]), np.array([2]))
         p = tmp_path / "d.csv"
-        write_dataset(p, d)
+        write_atomic(p, dataset_to_csv(d))
         assert read_dataset(p) == d
         assert p.read_bytes().endswith(b"\n")
 

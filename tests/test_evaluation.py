@@ -335,6 +335,28 @@ class TestFolds:
         scrambled = Dataset(test_split.X, test_split.labels[::-1].copy())
         np.testing.assert_array_equal(preds, predict_fold(models, scrambled, cfg))
 
+    def test_evaluate_folds_are_fit_fold_then_predict_fold(self):
+        # run_experiment scores each fold as predict_fold(fit_fold(...))
+        # does: the same accuracy per fold and the same summed confusion
+        data = gaussian_blobs([9, 8, 7], dim=4, separation=1.5, seed=3)
+        class_ids = data.class_ids
+        for pipeline in evaluation.PIPELINES:
+            for classifier in evaluation.CLASSIFIERS:
+                for seed in (0, 1):
+                    cfg = ExperimentConfig(
+                        pipeline=pipeline, classifier=classifier, knn_k=3, map_rows=2,
+                        map_cols=2, folds=3, steps_per_sample=10, seed=seed,
+                    )
+                    report = run_experiment(data, cfg)
+                    confusion = np.zeros_like(report.confusion)
+                    for f, (train_split, test_split) in enumerate(kfold_split(data, 3, seed)):
+                        preds = predict_fold(fit_fold(train_split, cfg), test_split, cfg)
+                        truth = test_split.labels
+                        assert report.fold_accuracies[f] == float((preds == truth).mean())
+                        cells = np.searchsorted(class_ids, truth), np.searchsorted(class_ids, preds)
+                        np.add.at(confusion, cells, 1)
+                    np.testing.assert_array_equal(report.confusion, confusion)
+
     def test_pipeline_widths(self):
         data = gaussian_blobs([10, 10, 10], dim=5, seed=3)
         train_split, test_split = kfold_split(data, 5, seed=0)[0]

@@ -19,7 +19,6 @@ from csomtex import (
     TextureConfig,
     cooccurrence,
     extract_features,
-    feature_length,
     haralick4,
     region_labels,
     region_masks,
@@ -217,12 +216,11 @@ class TestExtractFeatures:
         pix = RoiConfig(mode="pixelwise", sn=6)
         blk = RoiConfig(mode="blockwise", block_size=8)
         tex = TextureConfig(levels=3)  # four default offsets
-        assert feature_length(pix, tex) == 6 * 4 * 4
-        assert feature_length(blk, tex) == 4 * 4
         rng = np.random.default_rng(7)
-        img = random_image(rng, 16, 16, 3)
-        assert extract_features(img, pix, tex).shape == (96,)
-        assert extract_features(img, blk, tex).shape == (16,)
+        for height, width in [(16, 16), (24, 40)]:
+            img = random_image(rng, height, width, 3)
+            assert extract_features(img, pix, tex).size == 6 * 4 * 4
+            assert extract_features(img, blk, tex).size == 4 * 4
 
     def test_unquantized_input_rejected(self):
         img = image_from([[0, 128], [255, 3]], max_value=255)

@@ -27,6 +27,7 @@ from .data import (
     check_vector,
     class_id,
     dataset_to_csv,
+    float_fields,
     format_value,
     int_field,
     read_dataset,
@@ -168,19 +169,6 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    """A --vector value: comma-separated components, each read as a
-    features-CSV cell is.  An empty or non-numeric one is a usage error."""
-    values = []
-    for i, part in enumerate(text.split(","), start=1):
-        try:
-            values.append(float(part))
-        except ValueError:
-            problem = "is empty" if not part.strip() else f"is not a number: {part!r}"
-            raise ValueError(f"--vector component {i} {problem}") from None
-    return np.array(values, dtype=np.float64)
-
-
 def cmd_classify(args) -> int:
     if (args.features is None) == (args.vector is None):
         raise ValueError("classify needs a features file or --vector, not both")
@@ -192,8 +180,13 @@ def cmd_classify(args) -> int:
     if args.vector is None:
         data = read_dataset(args.features)
     else:
-        x = check_vector(_parse_vector(args.vector), model.fisher.input_dim, "projection")
-        data = Dataset(x[None, :])
+        # argparse hands --vector=-- over as an empty list, not as "--"
+        parts = (args.vector if isinstance(args.vector, str) else "--").split(",")
+        x, bad = float_fields(parts)
+        if bad is not None:
+            problem = "is empty" if not parts[bad].strip() else f"is not a number: {parts[bad]!r}"
+            raise ValueError(f"--vector component {bad + 1} {problem}")
+        data = Dataset(check_vector(x, model.fisher.input_dim, "projection")[None, :])
     feats = project_dataset(model.fisher, data)
     preds, errors = classify_dataset(model.csom, feats.without_labels())
     if args.vector is not None:

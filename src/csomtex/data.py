@@ -111,6 +111,23 @@ def int_field(text: str | bytes, bad: str, too_large: str | None = None, error=F
     return value
 
 
+def float_fields(cells: list[str]) -> tuple[np.ndarray | None, int | None]:
+    """``cells`` as float64 fields and None, or None and the position of the
+    first cell that is not a field: a token that ``float()`` reads and that
+    is printable ASCII with no space or ``_`` (so ``nan``, ``inf`` and
+    ``1e400`` are read, for a finite check to reject, and ``1_0``, `` 2``,
+    a tab and ``٠`` are not).  Valid cells make one numpy conversion."""
+    text = "".join(cells)
+    if text.isascii() and text.isprintable() and " " not in text and "_" not in text:
+        try:
+            return np.array(cells, dtype=np.float64), None
+        except ValueError:
+            pass
+    if len(cells) > 1:  # the first cell that fails alone
+        return None, next(i for i, cell in enumerate(cells) if float_fields([cell])[0] is None)
+    return None, 0
+
+
 def class_id(text: str, bad: str, negative: str, too_large: str, /, **where) -> int:
     """``text`` as a class id: an int64 field (see ``int_field``) that may
     start with ``-`` before a value of zero only.  So ``-0`` is class 0, and
@@ -163,21 +180,21 @@ def dataset_from_csv(text: str) -> Dataset:
         raise FormatError(f"dataset CSV line {reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError("dataset CSV is empty")
-    header = rows[0]
+    header, *body = rows
     if len(header) < 2 or header[-1] != "label":
         raise FormatError("dataset CSV header must be f0,...,label")
     dim = len(header) - 1
     if header[:dim] != [f"f{i}" for i in range(dim)]:
         raise FormatError("dataset CSV feature columns must be named f0..f{dim-1}")
-    X = np.empty((len(rows) - 1, dim), dtype=np.float64)
-    labels = np.full(len(rows) - 1, UNLABELED, dtype=np.int64)
-    for i, row in enumerate(rows[1:]):
+    # the features in one call, then each row checked in turn: field count, features, label
+    whole = next((i for i, row in enumerate(body) if len(row) != dim + 1), len(body))
+    X, bad = float_fields([cell for row in body[:whole] for cell in row[:dim]])
+    labels = np.full(len(body), UNLABELED, dtype=np.int64)
+    for i, row in enumerate(body):
         if len(row) != dim + 1:
             raise FormatError(f"dataset CSV row {i + 1} has {len(row)} fields, expected {dim + 1}")
-        try:
-            X[i] = [float(v) for v in row[:dim]]
-        except ValueError:
-            raise FormatError(f"non-numeric feature in dataset CSV row {i + 1}") from None
+        if bad is not None and i == bad // dim:
+            raise FormatError(f"non-numeric feature in dataset CSV row {i + 1}")
         if row[dim] != "":
             labels[i] = class_id(
                 row[dim],
@@ -187,7 +204,7 @@ def dataset_from_csv(text: str) -> Dataset:
                 row=i + 1,
             )
     try:
-        return Dataset(X, labels)
+        return Dataset(X.reshape(whole, dim), labels)
     except ValueError as exc:
         raise FormatError(f"invalid dataset CSV: {exc}") from exc
 

@@ -384,10 +384,9 @@ class FoldModels:
         return self.pipeline.som
 
 
-def _fold_models(pipeline: FittedPipeline, train_lookup: tuple, cfg: ExperimentConfig):
-    """The fold's classifier input: the training split's lookup composed in
-    the config's mode, and a GNB model on it when the classifier is GNB."""
-    features = compose(*train_lookup, cfg.pipeline_parts[1])
+def _fold_models(pipeline: FittedPipeline, features: Dataset, cfg: ExperimentConfig):
+    """The fold's classifier input, its training split composed in the
+    config's mode, and a GNB model on it when the classifier is GNB."""
     return FoldModels(pipeline, features, gnb_fit(features) if cfg.classifier == "gnb" else None)
 
 
@@ -402,7 +401,7 @@ def _predict(models: FoldModels, test_lookup: tuple, cfg: ExperimentConfig) -> n
 def fit_fold(train_split: Dataset, cfg: ExperimentConfig) -> FoldModels:
     """Fit Fisher, the configured map(s), and the classifier on one split."""
     pipeline = FittedPipeline.fit(train_split, cfg)
-    return _fold_models(pipeline, pipeline.lookup(train_split), cfg)
+    return _fold_models(pipeline, pipeline.transform(train_split, cfg.pipeline_parts[1]), cfg)
 
 
 def predict_fold(models: FoldModels, test_split: Dataset, cfg: ExperimentConfig) -> np.ndarray:
@@ -468,9 +467,10 @@ def _evaluate(
             _projection(store, fit, fold, train_split, cfg)  # raises what planning met
             pipeline = store["fit", fit, fold]
             train_lookup = _shared(store, ("train", fit, fold), pipeline.lookup, train_split)
+            features = _shared(store, ("features", fit, fold, mode), compose, *train_lookup, mode)
             models = _shared(
                 store, ("models", fit, fold, mode, cfg.classifier == "gnb"),
-                _fold_models, pipeline, train_lookup, cfg,
+                _fold_models, pipeline, features, cfg,
             )
             test_lookup = _shared(
                 store, ("test", fit, fold), pipeline.lookup, test_split.without_labels()

@@ -31,6 +31,8 @@ class FisherProjection:
             raise ValueError("pca_basis rows must match the input dimension")
         if self.lda_basis.shape[0] != self.pca_basis.shape[1]:
             raise ValueError("lda_basis rows must match the PCA component count")
+        if not all(np.isfinite(m).all() for m in (self.mean, self.pca_basis, self.lda_basis)):
+            raise ValueError("projection mean and bases must be finite")
 
     @property
     def input_dim(self) -> int:

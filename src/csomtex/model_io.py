@@ -15,12 +15,13 @@ problems raise FormatError.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 
 import numpy as np
 
 from .csom import CsomModel
-from .data import format_value, int_field, read_text, write_atomic
+from .data import float_fields, format_value, int_field, read_text, write_atomic
 from .errors import FormatError, IntegrityError
 from .evaluation import MODES, FittedPipeline
 from .fisher import FisherProjection
@@ -80,16 +81,6 @@ def _take(lines: deque) -> str:
     return lines.popleft()
 
 
-def _parse_floats(line: str, want: int, context: str) -> np.ndarray:
-    parts = line.split()
-    if len(parts) != want:
-        raise FormatError(f"{context}: expected {want} values, got {len(parts)}")
-    try:
-        return np.array([float(p) for p in parts], dtype=np.float64)
-    except ValueError as exc:
-        raise FormatError(f"{context}: {exc}") from exc
-
-
 def _read_section(lines: deque, kind: str, name: str | None = None, dim: int | None = None):
     """The next ``[kind name rows cols]`` section, its sizes plain digits
     closed by one ``]``, and its lines of floats: ``(name, rows, cols,
@@ -113,7 +104,16 @@ def _read_section(lines: deque, kind: str, name: str | None = None, dim: int | N
     # one line at a time, each parsed before it is stored: a declared size
     # the file does not hold fails on its lines, not on an allocation
     count, width, item = (rows, cols, "row") if dim is None else (rows * cols, dim, "unit")
-    values = [_parse_floats(_take(lines), width, f"{kind} {name} {item} {i}") for i in range(count)]
+    values = []
+    for i in range(count):
+        where = f"{kind} {name} {item} {i}"
+        parts = _take(lines).split()
+        if len(parts) != width:
+            raise FormatError(f"{where}: expected {width} values, got {len(parts)}")
+        row, bad = float_fields(parts)
+        if bad is not None:
+            raise FormatError(f"{where}: could not convert string to float: {parts[bad]!r}")
+        values.append(row)
     return name, rows, cols, np.array(values)
 
 
@@ -134,12 +134,11 @@ def parse_model(text: str) -> FittedPipeline:
     stated = lines[-1].split()
     if len(stated) != 2 or stated[0] != "fnv1a64":
         raise FormatError(f"bad checksum line {lines[-1]!r}")
-    try:
-        stated_digest = int(stated[1], 16)
-    except ValueError as exc:
-        raise FormatError(f"bad checksum digest {stated[1]!r}") from exc
+    if not re.fullmatch("[0-9a-fA-F]+", stated[1]):
+        raise FormatError(f"bad checksum digest {stated[1]!r}")
     if len(stated[1]) != 16:
         raise FormatError("checksum digest must be 16 hex digits")
+    stated_digest = int(stated[1], 16)
     body = "\n".join(lines[:-2]) + "\n"
     actual = fnv1a64(body.encode("ascii", errors="replace"))
     if actual != stated_digest:

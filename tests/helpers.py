@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import re
+
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from csomtex import Dataset, FormatError, Image, TruncationError, fnv1a64
+from csomtex.data import UNLABELED, class_id
 from csomtex.imaging import MAX_MAXVAL
 
 # derandomized, so a run draws the same examples every time
@@ -206,3 +211,50 @@ def pgm_oracle(data: bytes) -> Image:
     if pixels.max() > maxval:
         raise FormatError("PGM contains pixel values above the declared maxval")
     return Image(pixels, maxval)
+
+
+def csv_oracle(text: str) -> Dataset:
+    """Reference features-CSV reader, as ``dataset_from_csv`` ran before it
+    read all features in one conversion: a row at a time, its field count,
+    then each feature through ``float()``, then its label.  On every CSV
+    whose feature cells are printable ASCII with no space or ``_``,
+    ``dataset_from_csv`` must read the same bits or raise the same message.
+    """
+    bare_cr = re.search(r"\r(?!\n)", text)
+    if bare_cr:
+        line = text.count("\n", 0, bare_cr.start()) + 1
+        raise FormatError(f"dataset CSV line {line} has a bare carriage return")
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [r for r in reader if r]
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise FormatError(f"dataset CSV line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise FormatError("dataset CSV is empty")
+    header = rows[0]
+    if len(header) < 2 or header[-1] != "label":
+        raise FormatError("dataset CSV header must be f0,...,label")
+    dim = len(header) - 1
+    if header[:dim] != [f"f{i}" for i in range(dim)]:
+        raise FormatError("dataset CSV feature columns must be named f0..f{dim-1}")
+    X = np.empty((len(rows) - 1, dim), dtype=np.float64)
+    labels = np.full(len(rows) - 1, UNLABELED, dtype=np.int64)
+    for i, row in enumerate(rows[1:]):
+        if len(row) != dim + 1:
+            raise FormatError(f"dataset CSV row {i + 1} has {len(row)} fields, expected {dim + 1}")
+        try:
+            X[i] = [float(v) for v in row[:dim]]
+        except ValueError:
+            raise FormatError(f"non-numeric feature in dataset CSV row {i + 1}") from None
+        if row[dim] != "":
+            labels[i] = class_id(
+                row[dim],
+                "non-integer label in dataset CSV row {row}",
+                "negative label in dataset CSV row {row}; class ids must be >= 0",
+                "label too large in dataset CSV row {row}; class ids must be < 2**63",
+                row=i + 1,
+            )
+    try:
+        return Dataset(X, labels)
+    except ValueError as exc:
+        raise FormatError(f"invalid dataset CSV: {exc}") from exc

@@ -475,10 +475,18 @@ class TestRunExperiments:
             gnb_fits.append(train_features)
             return gnb(train_features)
 
+        composed = []  # whether the rows of each compose call are labeled
+        compose = evaluation.compose
+
+        def counted_compose(data, prototypes, mode):
+            composed.append(not (data.labels == UNLABELED).all())
+            return compose(data, prototypes, mode)
+
         monkeypatch.setattr(evaluation, "fit_fisher", counted_fisher)
         monkeypatch.setattr(evaluation, "train_maps", counted_engine)
         monkeypatch.setattr(FittedPipeline, "lookup", counted_lookup)
         monkeypatch.setattr(evaluation, "gnb_fit", counted_gnb)
+        monkeypatch.setattr(evaluation, "compose", counted_compose)
         # a second gnb config per grid cell, differing only in knn_k (which
         # GNB ignores), shares every fit of its twin
         twins = [replace(c, knn_k=3) for c in self._grid() if c.classifier == "gnb"]
@@ -496,6 +504,11 @@ class TestRunExperiments:
         # by the twins
         assert len(lookups) == 36
         assert len(gnb_fits) == 30
+        # per seed, fold and pipeline: one composed training split, shared
+        # by k-NN, GNB and the twins; per config and fold: one composed test
+        # split (30 configs)
+        assert composed.count(True) == 30
+        assert composed.count(False) == 90
         test_rows = {te.X.tobytes() for s in (0, 1) for _, te in kfold_split(data, 3, seed=s)}
         tested = [labeled for rows, labeled in lookups if rows in test_rows]
         assert len(tested) == 18 and not any(tested)

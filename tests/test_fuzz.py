@@ -79,6 +79,9 @@ _CSV = "f0,f1,label\n0.5,1e-3,0\n-2,3.25,1\n4,5,\n"
 @example("f0,label\n1,-0\n2, 1\n")
 @example("f0,label\n1," + "9" * 5000 + "\n")
 @example("f0,label\n1,-" + "9" * 5000 + "\n")
+@example("f0,label\n1_0,0\n")
+@example("f0,label\n 2,0\n")
+@example("f0,label\n\u0660,0\n")
 def test_dataset_from_csv(text):
     _must_not_escape(dataset_from_csv, text)
 

@@ -309,15 +309,31 @@ _RESEALED = [
      "inconsistent model contents: class ids must be strictly ascending"),
     ("pca_rows", "[matrix pca 3 2]\n1 0\n0 1\n0 0\n", "[matrix pca 2 2]\n1 0\n0 1\n",
      "inconsistent model contents: pca_basis rows must match the input dimension"),
+    ("mean_nan", "0.5 -1 2", "0.5 nan 2",
+     "inconsistent model contents: projection mean and bases must be finite"),
+    ("lda_inf", "0 0.5", "0 -inf",
+     "inconsistent model contents: projection mean and bases must be finite"),
+    ("matrix_row_underscore", "0.5 -1 2", "0.5 -1 2_0",
+     "matrix mean row 0: could not convert string to float: '2_0'"),
+    ("som_unit_non_ascii", "-3 -4", "-3 \u0664",
+     "som 4 unit 1: could not convert string to float: '\u0664'"),
 ]
 
 # (id, whole file, the exact message) for the checksum lines themselves
 _SEALED = reseal(_BASE)
+# a body whose digest, 02a7b44dd100a40b, starts with a zero
+_ZERO_LED = reseal(_BASE.replace("# texture map model", "# texture map model 20"))
 _CHECKSUMS = [
     ("no_checksum", _BASE, "model file must end with a [checksum] section"),
     ("checksum_line", _SEALED.replace("fnv1a64 ", "md5 "), "bad checksum line 'md5 297bf9b58df67fc1'"),
     ("digest_hex", _SEALED.replace("fc1\n", "fcz\n"), "bad checksum digest '297bf9b58df67fcz'"),
     ("digest_length", _SEALED.replace("fc1\n", "fc\n"), "checksum digest must be 16 hex digits"),
+    # int(..., 16) reads each of these spellings as the file's own digest
+    ("digest_sign", _ZERO_LED.replace(" 02a7b", " +2a7b"), "bad checksum digest '+2a7b44dd100a40b'"),
+    ("digest_underscore", _ZERO_LED.replace(" 02a7b", " 2_a7b"),
+     "bad checksum digest '2_a7b44dd100a40b'"),
+    ("digest_non_ascii", _ZERO_LED.replace(" 02a7b", " \u06602a7b"),
+     "bad checksum digest '\u06602a7b44dd100a40b'"),
 ]
 
 
@@ -328,6 +344,8 @@ class TestReaderMessages:
         model = parse_model(_SEALED)
         assert model.csom.class_ids.tolist() == [0, 4]
         assert serialize_model(model).startswith(_BASE)
+        assert _ZERO_LED.endswith("fnv1a64 02a7b44dd100a40b\n")
+        assert serialize_model(parse_model(_ZERO_LED)) == _SEALED
 
     @pytest.mark.parametrize(
         "old, new, message", [case[1:] for case in _RESEALED], ids=[case[0] for case in _RESEALED]

@@ -6,7 +6,7 @@ floats (so every value round-trips exactly and save(load(f)) reproduces f
 byte for byte).  The final two lines are::
 
     [checksum]
-    fnv1a64 <16 hex digits>
+    fnv1a64 <16 lower-case hex digits>
 
 where the digest is FNV-1a 64 over every byte that precedes the
 ``[checksum]`` line.  A digest mismatch raises IntegrityError; structural
@@ -134,7 +134,7 @@ def parse_model(text: str) -> FittedPipeline:
     stated = lines[-1].split()
     if len(stated) != 2 or stated[0] != "fnv1a64":
         raise FormatError(f"bad checksum line {lines[-1]!r}")
-    if not re.fullmatch("[0-9a-fA-F]+", stated[1]):
+    if not re.fullmatch("[0-9a-f]+", stated[1]):
         raise FormatError(f"bad checksum digest {stated[1]!r}")
     if len(stated[1]) != 16:
         raise FormatError("checksum digest must be 16 hex digits")
@@ -176,15 +176,15 @@ def parse_model(text: str) -> FittedPipeline:
     pca = _read_section(lines, "matrix", "pca")[3]
     lda = _read_section(lines, "matrix", "lda")[3]
 
-    entries = []
+    sections = []
     while lines:
-        tag, rows, cols, weights = _read_section(lines, "som", dim=lda.shape[1])
-        entries.append((tag, SomMap(rows, cols, weights)))
-    if not entries:
+        sections.append(_read_section(lines, "som", dim=lda.shape[1]))
+    if not sections:
         raise FormatError("model file has no map sections")
 
     try:
         fisher = FisherProjection(mean[0], pca, lda)
+        entries = [(tag, SomMap(rows, cols, weights)) for tag, rows, cols, weights in sections]
         if single == "1":
             if len(entries) != 1 or entries[0][0] != POOLED:
                 raise FormatError("single_som file must contain exactly one pooled map")

@@ -140,9 +140,11 @@ def _haralick_rows(p: np.ndarray, diff2: np.ndarray) -> np.ndarray:
     """haralick4 of each row of ``p``, a flattened GLCM, as an (n, 4) matrix.
 
     ``diff2`` is ``_diff2(L)``.  The entropy sums only the non-zero cells,
-    and numpy's pairwise summation groups them by their number, so rows are
-    summed in groups with equal non-zero counts: each row's sum is the one
-    a lone row would make.
+    and numpy's pairwise summation groups them by their number, so the rows
+    are stably sorted by non-zero count once and their terms gathered in
+    that order: each group of equal counts is then one contiguous (rows, k)
+    slice, summed along its rows, and each row's sum is the one a lone row
+    would make.  A row without non-zero cells sums nothing, to +0.0.
     """
     n = p.shape[0]
     out = np.zeros((n, FEATURES_PER_GLCM), dtype=np.float64)
@@ -151,12 +153,19 @@ def _haralick_rows(p: np.ndarray, diff2: np.ndarray) -> np.ndarray:
     out[:, 3] = (p / (1.0 + diff2)).sum(axis=1)
     nz = p > 0
     per_row = nz.sum(axis=1)
-    vals = p[nz]  # row-major, so each row's cells are contiguous
-    terms = -vals * np.log(vals)
-    starts = np.cumsum(per_row) - per_row
-    for k in np.unique(per_row[per_row > 0]):
-        rows = np.flatnonzero(per_row == k)
-        out[rows, 2] = terms[starts[rows, None] + np.arange(k)].sum(axis=1)
+    order = np.argsort(per_row, kind="stable")
+    terms = p[order][nz[order]]  # row by row in count order
+    terms *= np.log(terms)
+    np.negative(terms, out=terms)
+    sizes = np.bincount(per_row)
+    ent = np.empty(n)
+    r = t = 0
+    ks = np.flatnonzero(sizes)
+    for k, m in zip(ks.tolist(), sizes[ks].tolist()):
+        np.add.reduce(terms[t : t + m * k].reshape(m, k), axis=1, out=ent[r : r + m])
+        r += m
+        t += m * k
+    out[order, 2] = ent
     return out
 
 

@@ -468,6 +468,34 @@ class TestClassify:
         assert code == 3
         assert "checksum" in err
 
+    @pytest.mark.parametrize("command", ["classify", "transform"])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("nan_weight", "inconsistent model contents: prototype components must be finite"),
+            ("upper_case_digest", "bad checksum digest"),
+        ],
+    )
+    def test_bad_model_is_data_error(
+        self, model_file, features_csv, command, defect, message, tmp_path, capsys
+    ):
+        lines = model_file.read_text().split("\n")
+        if defect == "nan_weight":
+            unit = next(i for i, line in enumerate(lines) if line.startswith("[som ")) + 1
+            lines[unit] = " ".join(["nan"] + lines[unit].split()[1:])
+            text = reseal("\n".join(lines))
+        else:
+            key, digest = lines[-2].split()  # the text ends in a newline
+            lines[-2] = f"{key} {digest.upper()}"
+            text = "\n".join(lines)
+        assert text != model_file.read_text()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, out, err = run(capsys, [command, str(bad), str(features_csv)])
+        assert code == 2
+        assert message in err
+        assert out == ""
+
 
 class TestLibraryQueries:
     """The one-row library calls a client makes on a saved model and its

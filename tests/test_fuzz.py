@@ -105,10 +105,33 @@ def _reseal(text: str) -> str:
     return body + f"[checksum]\nfnv1a64 {digest:016x}\n"
 
 
+def _with_value(text: str, line: int, col: int, token: str) -> str:
+    """``text`` with one whole value of a numeric line (matrix row or map
+    unit; both indexes taken modulo their counts) replaced by ``token``."""
+    lines = text.split("\n")
+    rows = [i for i, row in enumerate(lines) if row[:1] in tuple("-0123456789")]
+    i = rows[line % len(rows)]
+    values = lines[i].split()
+    values[col % len(values)] = token
+    lines[i] = " ".join(values)
+    return "\n".join(lines)
+
+
+# resealed models with a nan or inf where a finite value was
+_NON_FINITE_MODELS = st.builds(
+    _with_value,
+    st.just(_MODEL),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "NaN", "Infinity", "1e999"]),
+).map(_reseal)
+
+
 @FUZZ
 @given(st.one_of(
     mutations(_MODEL, _TEXT_CHUNKS),
     mutations(_MODEL, _TEXT_CHUNKS).map(_reseal),
+    _NON_FINITE_MODELS,
 ))
 @example(_reseal(_MODEL.replace("[matrix pca 3 ", "[matrix pca 999999999999 ", 1)))
 @example(_reseal(_MODEL.replace("[som 0 1 2]", "[som 0 99999 999999]", 1)))
@@ -195,20 +218,46 @@ _CONFIG_CHUNKS = st.one_of(
          '"fisher_dim"', '"map"', '"rows"', '"knn_k"', '"evaluate"', '"mode"', '"holdout"']
     ),
 )
+_DATA_FILES = [
+    ("feats.csv", _TEXT_CHUNKS.map(str.encode)),
+    ("model.txt", _TEXT_CHUNKS.map(str.encode)),
+    ("manifest.txt", _TEXT_CHUNKS.map(str.encode)),
+    ("c0_0.pgm", st.binary(min_size=1, max_size=4)),
+]
+
+
+def _file_edits(name, chunks):
+    return mutations(_INPUTS[name], chunks).map(lambda data: (name, data))
+
+
+# model edits under a matching checksum, so that the parse gets past it
+_RESEALED_EDITS = st.one_of(
+    mutations(_MODEL, _TEXT_CHUNKS).map(_reseal), _NON_FINITE_MODELS
+).map(lambda text: ("model.txt", text.encode()))
 _FILE_EDITS = st.one_of(
     st.none(),
-    *[
-        mutations(_INPUTS[name], chunks).map(lambda data, name=name: (name, data))
-        for name, chunks in [
-            ("config.json", _CONFIG_CHUNKS.map(str.encode)),
-            ("feats.csv", _TEXT_CHUNKS.map(str.encode)),
-            ("model.txt", _TEXT_CHUNKS.map(str.encode)),
-            ("manifest.txt", _TEXT_CHUNKS.map(str.encode)),
-            ("c0_0.pgm", st.binary(min_size=1, max_size=4)),
-        ]
-    ],
-    mutations(_MODEL, _TEXT_CHUNKS).map(lambda text: ("model.txt", _reseal(text).encode())),
+    _file_edits("config.json", _CONFIG_CHUNKS.map(str.encode)),
+    *[_file_edits(name, chunks) for name, chunks in _DATA_FILES],
+    _RESEALED_EDITS,
 )
+
+
+def _lists_no_image(data: bytes) -> bool:
+    """Whether a manifest decodes to blank and comment lines only: a usage
+    error (exit 1), as test_empty_manifest_is_usage_error pins."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return all(not line.strip() or line.strip().startswith("#") for line in lines)
+
+
+# one edited input file that is not the config: whatever the edit, the
+# fault is the data's, so an unedited command line exits 0, 2 or 3
+_DATA_EDITS = st.one_of(
+    *[_file_edits(name, chunks) for name, chunks in _DATA_FILES], _RESEALED_EDITS
+).filter(lambda edit: not (edit[0] == "manifest.txt" and _lists_no_image(edit[1])))
 
 
 def _snapshot(root: str) -> dict:
@@ -231,6 +280,28 @@ def _snapshot(root: str) -> dict:
     _FILE_EDITS,
 )
 def test_cli_main(argv, edit):
+    assert _run_main(argv, edit) in (0, 1, 2, 3)
+
+
+# the two model-reader faults the blame property was written for: a map
+# weight of nan exited 1, and an upper-case digest loaded (its model then
+# saved to other bytes)
+_NAN_WEIGHT = _reseal(_with_value(_MODEL, -1, 0, "nan"))
+_UPPER_DIGEST = _MODEL[:-17] + _MODEL[-17:].upper()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(_ARGVS), _DATA_EDITS)
+@example(_ARGVS[4], ("model.txt", _NAN_WEIGHT.encode()))
+@example(_ARGVS[4], ("model.txt", _UPPER_DIGEST.encode()))
+def test_exit_code_blames_the_data(argv, edit):
+    assert _run_main(argv, edit) in (0, 2, 3)
+
+
+def _run_main(argv, edit) -> int:
+    """``main(argv)`` in a fresh directory of the inputs, ``edit`` (a file
+    name and its new bytes, or None) applied; checks that it printed no
+    traceback and that a failure left every file as it was."""
     with tempfile.TemporaryDirectory() as root:
         inputs, work = os.path.join(root, "in"), os.path.join(root, "work")
         os.mkdir(inputs)
@@ -251,8 +322,8 @@ def test_cli_main(argv, edit):
         finally:
             os.chdir(cwd)
         after = _snapshot(root)
-    assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert not [path for path in after if path.endswith(".tmp")]
     if code != 0:
         assert after == before
+    return code

@@ -317,6 +317,10 @@ _RESEALED = [
      "matrix mean row 0: could not convert string to float: '2_0'"),
     ("som_unit_non_ascii", "-3 -4", "-3 \u0664",
      "som 4 unit 1: could not convert string to float: '\u0664'"),
+    ("som_weight_nan", "2 3\n", "2 nan\n",
+     "inconsistent model contents: prototype components must be finite"),
+    ("som_weight_inf", "-3 -4", "-inf -4",
+     "inconsistent model contents: prototype components must be finite"),
 ]
 
 # (id, whole file, the exact message) for the checksum lines themselves
@@ -334,6 +338,11 @@ _CHECKSUMS = [
      "bad checksum digest '2_a7b44dd100a40b'"),
     ("digest_non_ascii", _ZERO_LED.replace(" 02a7b", " \u06602a7b"),
      "bad checksum digest '\u06602a7b44dd100a40b'"),
+    # only the lower-case digest that serialize_model writes is the file's own
+    ("digest_upper_case", _SEALED.replace("297bf9b58df67fc1", "297BF9B58DF67FC1"),
+     "bad checksum digest '297BF9B58DF67FC1'"),
+    ("digest_upper_case_short", _SEALED.replace("297bf9b58df67fc1", "297BF9B58DF67FC"),
+     "bad checksum digest '297BF9B58DF67FC'"),
 ]
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csomtex import (
@@ -23,6 +23,7 @@ from csomtex import (
     region_labels,
     region_masks,
 )
+from csomtex.texture import _diff2, _haralick_rows
 from helpers import bits, image_from, random_image
 
 FULL = lambda img: RegionMask(np.ones(img.pixels.shape, dtype=bool))  # noqa: E731
@@ -170,6 +171,41 @@ class TestHaralick:
         got = haralick4(g)
         assert all(type(v) is float for v in got)
         assert np.array_equal(bits(np.array(got)), bits(np.array(haralick_oracle(g))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        levels=st.integers(2, 256),
+        kinds=st.lists(
+            st.sampled_from(["zero", "one", "unit", "few", "half", "dense"]), min_size=1, max_size=12
+        ),
+        normalized=st.booleans(),
+    )
+    @example(seed=0, levels=2, kinds=["zero", "unit", "zero"], normalized=True)
+    def test_rows_bitwise_equal_to_oracle_alone(self, seed, levels, kinds, normalized):
+        # rows of every non-zero count kind, shuffled so that equal counts
+        # interleave with others; each row must get the bits it gets alone,
+        # sign of zero included: +0.0 for a row without non-zero cells, and
+        # for a lone 1.0 whatever numpy's sum of its one -0.0 term gives
+        rng = np.random.default_rng(seed)
+        cells = levels * levels
+        counts = {"zero": 0, "one": 1, "few": 3, "half": cells // 2, "dense": cells}
+        p = np.zeros((len(kinds), cells))
+        for row, kind in zip(p, kinds):
+            if kind == "unit":
+                row[rng.integers(cells)] = 1.0
+                continue
+            hit = rng.choice(cells, counts[kind], replace=False)
+            row[hit] = rng.random(len(hit)) + 1e-9
+            if normalized:
+                row /= max(row.sum(), 1.0)
+            else:
+                row *= rng.uniform(1.0, 1000.0)
+        p = p[rng.permutation(len(kinds))]
+        got = _haralick_rows(p, _diff2(levels))
+        for row, feats in zip(p, got):
+            want = haralick_oracle(Glcm(levels, row.reshape(levels, levels), 0))
+            assert np.array_equal(bits(feats), bits(np.array(want)))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 100_000), levels=st.sampled_from([2, 3, 4]))

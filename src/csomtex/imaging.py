@@ -24,6 +24,8 @@ MAX_MAXVAL = 65535
 # takes linear time on any input.
 _SCANNER = re.compile(rb"#[^\n]*|[^ \t\r\n\v\f#]+")
 _COMMENTS = re.compile(rb"#[^\n]*")
+# The bytes of a P2 body that needs no message: ASCII digits and whitespace.
+_P2_CLEAN = b"0123456789 \t\r\n\v\f"
 
 
 @dataclass(eq=False)
@@ -81,7 +83,10 @@ def load_pgm(data: bytes) -> Image:
     """Parse P2 (ASCII) or P5 (binary) PGM bytes into an Image.
 
     Raises FormatError for a bad magic or out-of-range header values and
-    TruncationError when the pixel body is shorter than declared.
+    TruncationError when the pixel body is shorter than declared.  A clean
+    P2 body, only ASCII digits and whitespace with exactly the declared
+    samples, all within maxval, is one numpy conversion; any other body is
+    read token by token, which names what is wrong with it.
     """
     if len(data) < 2:
         raise FormatError("not a PGM: data too short for a magic number")
@@ -108,21 +113,28 @@ def load_pgm(data: bytes) -> Image:
     count = width * height
     end = header[3].end()
     if magic == b"P2":
-        samples = _COMMENTS.sub(b" ", data[end:]).split()
-        if samples and not b"".join(samples[:count]).isdigit():
-            bad = next(tok for tok in samples if not tok.isdigit())
-            raise FormatError(f"invalid pixel token {bad!r} in PGM body")
-        if len(samples) < count:
-            raise TruncationError(f"P2 body has {len(samples)} of {count} pixel values")
-        if len(samples) > count:
-            raise FormatError("trailing data after P2 pixel values")
-        try:
-            pixels = np.array(samples, dtype=np.int64)
-        except (OverflowError, ValueError):  # ValueError: past Python's digit limit
-            try:  # plain_int drops any number of leading zeros, as the header reads them
-                pixels = np.array([plain_int(s) for s in samples], dtype=np.int64)
-            except OverflowError:
-                raise FormatError("PGM pixel value too large") from None
+        body = _COMMENTS.sub(b" ", data[end:])
+        pixels = None
+        if not body.translate(None, _P2_CLEAN) and not body.isspace():
+            pixels = np.fromstring(body, dtype=np.int64, sep=" ")
+        # fromstring clamps a value of 2**63 or more to int64 max, so a
+        # result of the wrong size or above maxval is read again by tokens
+        if pixels is None or pixels.size != count or pixels.max() > maxval:
+            samples = body.split()
+            if samples and not b"".join(samples[:count]).isdigit():
+                bad = next(tok for tok in samples if not tok.isdigit())
+                raise FormatError(f"invalid pixel token {bad!r} in PGM body")
+            if len(samples) < count:
+                raise TruncationError(f"P2 body has {len(samples)} of {count} pixel values")
+            if len(samples) > count:
+                raise FormatError("trailing data after P2 pixel values")
+            try:
+                pixels = np.array(samples, dtype=np.int64)
+            except (OverflowError, ValueError):  # ValueError: past Python's digit limit
+                try:  # plain_int drops any number of leading zeros, as the header reads them
+                    pixels = np.array([plain_int(s) for s in samples], dtype=np.int64)
+                except OverflowError:
+                    raise FormatError("PGM pixel value too large") from None
     else:
         # Exactly one whitespace byte separates the maxval token from the raster.
         if not data[end : end + 1].isspace():

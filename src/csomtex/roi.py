@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import int_field
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .imaging import Image
 
 KMEANS_MAX_ITER = 100
@@ -114,12 +114,14 @@ def blockwise_labels(img: Image, block_size: int) -> np.ndarray:
     """Tile the image with non-overlapping square blocks, as a label image.
 
     Blocks are numbered from the top-left in row-major order; pixels of the
-    partial blocks at the right and bottom edges are labeled -1.
+    partial blocks at the right and bottom edges are labeled -1.  An image
+    smaller than one block is bad data (ShapeError), a block_size below 2 a
+    bad setting (ValueError).
     """
     if block_size < 2:
         raise ValueError("block_size must be >= 2")
     if img.height < block_size or img.width < block_size:
-        raise ValueError(
+        raise ShapeError(
             f"image {img.width}x{img.height} smaller than one "
             f"{block_size}x{block_size} block"
         )

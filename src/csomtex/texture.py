@@ -110,6 +110,10 @@ def _region_glcms(
     """
     levels = img.max_value + 1
     h, w = img.height, img.width
+    pixels = img.pixels
+    # a pair's cell is (label * L + src) * L + dst, shifted by the rows of
+    # the spans before its own; the first two terms are one array per call
+    code = (labels * levels + pixels) * levels
     cells, n = [], 0
     for (dr, dc), lo, hi in spans:
         r0, r1 = max(0, -dr), min(h, h - dr)
@@ -117,10 +121,12 @@ def _region_glcms(
         if r0 < r1 and c0 < c1:
             region = labels[r0:r1, c0:c1]
             both = region == labels[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-            both &= (region >= lo) & (region < hi)
-            src = img.pixels[r0:r1, c0:c1][both]
-            dst = img.pixels[r0 + dr : r1 + dr, c0 + dc : c1 + dc][both]
-            cells.append(((region[both] + (n - lo)) * levels + src) * levels + dst)
+            both &= (region >= lo) & (region < hi)  # also drops the -1 pixels
+            cell = code[r0:r1, c0:c1][both]
+            cell += pixels[r0 + dr : r1 + dr, c0 + dc : c1 + dc][both]
+            if n != lo:
+                cell += (n - lo) * levels * levels
+            cells.append(cell)
         n += hi - lo
     counts = np.bincount(
         np.concatenate(cells) if cells else np.empty(0, dtype=np.int64),

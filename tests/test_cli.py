@@ -241,6 +241,24 @@ class TestExtract:
         assert "invalid pixel token b'-1'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pixels, size", [
+        (np.arange(1, 17).reshape(4, 4), "4x4"),
+        # a 64x64 image whose foreground crops to 40x6
+        (np.pad(np.full((6, 40), 200), ((29, 29), (12, 12))), "40x6"),
+    ], ids=["small_image", "small_foreground"])
+    def test_image_smaller_than_block_is_data_error(self, corpus, tmp_path, capsys, pixels,
+                                                     size):
+        (tmp_path / "s.pgm").write_bytes(save_pgm(Image(pixels, 255), binary=False))
+        (tmp_path / "m.txt").write_text("s.pgm,0\n")
+        out = tmp_path / "f.csv"
+        code, _, err = run(capsys, [
+            "extract", str(tmp_path / "m.txt"), "-o", str(out),
+            "--config", str(corpus / "config.json"),
+        ])
+        assert code == 2
+        assert err == f"error: image {size} smaller than one 8x8 block\n"
+        assert not out.exists()
+
     def test_levels_above_256_fail_before_any_image_is_read(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"texture": {"levels": 257}}))

@@ -294,6 +294,8 @@ _UPPER_DIGEST = _MODEL[:-17] + _MODEL[-17:].upper()
 @given(st.sampled_from(_ARGVS), _DATA_EDITS)
 @example(_ARGVS[4], ("model.txt", _NAN_WEIGHT.encode()))
 @example(_ARGVS[4], ("model.txt", _UPPER_DIGEST.encode()))
+# an image smaller than one 4x4 block exited 1
+@example(_ARGVS[0], ("c0_0.pgm", save_pgm(Image(np.full((3, 8), 9), 255))))
 def test_exit_code_blames_the_data(argv, edit):
     assert _run_main(argv, edit) in (0, 2, 3)
 

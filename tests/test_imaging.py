@@ -266,6 +266,15 @@ class TestPgmOracle:
     @example(b"P2\n2 1\n255\n1 # a comment ends at LF, not CR\r2\n")
     @example(b"P2\n1 1\n255\n7 x\n")  # trailing data, not a bad sample
     @example(b"P5\n2 1\n255\v\x00\x01")  # \v and \f are whitespace too
+    # bodies of only digits and whitespace that the one-conversion read
+    # must hand back to the token read, or read as the token read does
+    @example(b"P2\n1 1\n255\n \n")  # blank, which numpy reads as [0]
+    @example(b"P2\n3 1\n255\n1\v2\f3\n")
+    @example(b"P2\n2 1\n255\n1 9223372036854775807\n")
+    @example(b"P2\n2 1\n255\n1 9223372036854775808\n")  # numpy clamps it to 2**63 - 1
+    @example(b"P2\n2 1\n255\n1 2 3\n")
+    @example(b"P2\n2 1\n255\n1\n")
+    @example(b"P2\n2 1\n255\n1 " + b"0" * 29 + b"7\n")
     def test_load_pgm_agrees_with_oracle(self, data):
         """``load_pgm`` and ``pgm_oracle`` agree on the pixels and max_value,
         or on the error and its message.  The one difference allowed is a

@@ -12,6 +12,7 @@ from csomtex import (
     Image,
     RegionMask,
     RoiConfig,
+    ShapeError,
     mask_from_rle,
     mask_to_rle,
     region_labels,
@@ -116,7 +117,7 @@ class TestBlockwise:
         assert union[:4, :6].all() and union[4, :].sum() == 0 and union[:, 6].sum() == 0
 
     def test_image_smaller_than_block(self):
-        with pytest.raises(ValueError, match="smaller"):
+        with pytest.raises(ShapeError, match="smaller"):
             blockwise_labels(Image(np.zeros((3, 9), dtype=np.int64), 255), 4)
 
     def test_block_size_validation(self):

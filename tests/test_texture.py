@@ -23,7 +23,7 @@ from csomtex import (
     region_labels,
     region_masks,
 )
-from csomtex.texture import _diff2, _haralick_rows
+from csomtex.texture import _diff2, _haralick_rows, _region_glcms
 from helpers import bits, image_from, random_image
 
 FULL = lambda img: RegionMask(np.ones(img.pixels.shape, dtype=bool))  # noqa: E731
@@ -351,3 +351,49 @@ class TestBatchedMatchesPerRegion:
         assert region_labels(img, roi).max() + 1 == 100
         got = extract_features(img, roi, tex)
         assert np.array_equal(bits(got), bits(features_oracle(img, roi, tex)))
+
+
+# the 8 unit offsets; each example adds one longer than its image
+UNIT_OFFSETS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
+
+
+class TestRegionGlcms:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_spans_match_pair_loop(self, data):
+        """Each span's rows of ``_region_glcms`` on an arbitrary label image
+        are glcm_oracle's loop over that region's pixel pairs: counts and
+        totals exactly, p bitwise.  Spans start past region 0 and skip
+        regions, and -1 pixels belong to none."""
+        h, w = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        levels = data.draw(st.integers(2, 256))
+        n_regions = data.draw(st.integers(1, 6))
+        labels = np.array(
+            data.draw(st.lists(st.integers(-1, n_regions - 1), min_size=h * w, max_size=h * w)),
+            dtype=np.int64,
+        ).reshape(h, w)
+        img = Image(
+            np.array(data.draw(st.lists(st.integers(0, levels - 1), min_size=h * w,
+                                        max_size=h * w))).reshape(h, w),
+            levels - 1,
+        )
+        offsets = st.sampled_from(UNIT_OFFSETS + [(h, -w)])
+        span = st.integers(0, n_regions - 1).flatmap(
+            lambda lo: st.tuples(offsets, st.just(lo), st.integers(lo + 1, n_regions))
+        )
+        spans = data.draw(st.lists(span, min_size=1, max_size=4))
+        symmetric = data.draw(st.booleans())
+
+        p, totals = _region_glcms(img, labels, spans, symmetric)
+        want = [
+            glcm_oracle(img, RegionMask(labels == region), offset, symmetric)
+            if (labels == region).any()
+            else (np.zeros((levels, levels), np.int64), np.zeros((levels, levels)), 0)
+            for offset, lo, hi in spans
+            for region in range(lo, hi)
+        ]
+        assert p.shape == (len(want), levels * levels)
+        assert totals.tolist() == [total for _, _, total in want]
+        for row, total, (counts, p_want, _) in zip(p, totals, want):
+            assert np.array_equal(np.rint(row * total).astype(np.int64), counts.ravel())
+            assert np.array_equal(bits(row), bits(p_want.ravel()))

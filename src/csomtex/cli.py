@@ -34,7 +34,7 @@ from .data import (
     read_text,
     write_atomic,
 )
-from .errors import DataError, FormatError, IntegrityError
+from .errors import DataError, FormatError, IntegrityError, ShapeError
 from .evaluation import MODES, FittedPipeline, run_experiments
 from .fisher import project_dataset
 from .imaging import load_pgm, preprocess, quantize
@@ -104,7 +104,13 @@ def cmd_extract(args) -> int:
         img = load_pgm(raw)
         img = preprocess(img, cfg.preprocess)
         img = quantize(img, cfg.texture.levels)
-        regions = region_labels(img, cfg.roi)
+        try:
+            regions = region_labels(img, cfg.roi)
+        except ShapeError:  # the one kind: an image smaller than one block
+            raise ShapeError(
+                f"image {name!r} is {img.width}x{img.height} after preprocessing, smaller "
+                f"than one {cfg.roi.block_size}x{cfg.roi.block_size} block"
+            ) from None
         rows.append(extract_features(img, cfg.roi, cfg.texture, name=name, regions=regions))
         labels.append(label)
         if args.dump_masks:

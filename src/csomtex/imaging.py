@@ -114,27 +114,27 @@ def load_pgm(data: bytes) -> Image:
     end = header[3].end()
     if magic == b"P2":
         body = _COMMENTS.sub(b" ", data[end:])
-        pixels = None
         if not body.translate(None, _P2_CLEAN) and not body.isspace():
             pixels = np.fromstring(body, dtype=np.int64, sep=" ")
-        # fromstring clamps a value of 2**63 or more to int64 max, so a
-        # result of the wrong size or above maxval is read again by tokens
-        if pixels is None or pixels.size != count or pixels.max() > maxval:
-            samples = body.split()
-            if samples and not b"".join(samples[:count]).isdigit():
-                bad = next(tok for tok in samples if not tok.isdigit())
-                raise FormatError(f"invalid pixel token {bad!r} in PGM body")
-            if len(samples) < count:
-                raise TruncationError(f"P2 body has {len(samples)} of {count} pixel values")
-            if len(samples) > count:
-                raise FormatError("trailing data after P2 pixel values")
-            try:
-                pixels = np.array(samples, dtype=np.int64)
-            except (OverflowError, ValueError):  # ValueError: past Python's digit limit
-                try:  # plain_int drops any number of leading zeros, as the header reads them
-                    pixels = np.array([plain_int(s) for s in samples], dtype=np.int64)
-                except OverflowError:
-                    raise FormatError("PGM pixel value too large") from None
+            # fromstring clamps a value of 2**63 or more to int64 max, so a
+            # result of the wrong size or above maxval is read again by tokens
+            if pixels.size == count and pixels.max() <= maxval:
+                return Image(pixels.reshape(height, width), maxval)
+        samples = body.split()
+        if samples and not b"".join(samples[:count]).isdigit():
+            bad = next(tok for tok in samples if not tok.isdigit())
+            raise FormatError(f"invalid pixel token {bad!r} in PGM body")
+        if len(samples) < count:
+            raise TruncationError(f"P2 body has {len(samples)} of {count} pixel values")
+        if len(samples) > count:
+            raise FormatError("trailing data after P2 pixel values")
+        try:
+            pixels = np.array(samples, dtype=np.int64)
+        except (OverflowError, ValueError):  # ValueError: past Python's digit limit
+            try:  # plain_int drops any number of leading zeros, as the header reads them
+                pixels = np.array([plain_int(s) for s in samples], dtype=np.int64)
+            except OverflowError:
+                raise FormatError("PGM pixel value too large") from None
     else:
         # Exactly one whitespace byte separates the maxval token from the raster.
         if not data[end : end + 1].isspace():
@@ -146,7 +146,7 @@ def load_pgm(data: bytes) -> Image:
         if len(body) > nbytes:
             raise FormatError("trailing data after P5 pixel bytes")
         pixels = np.frombuffer(body, dtype=np.uint8 if maxval < 256 else ">u2")
-    pixels = pixels.astype(np.int64).reshape(height, width)
+    pixels = pixels.astype(np.int64, copy=False).reshape(height, width)
 
     if pixels.max() > maxval:
         raise FormatError("PGM contains pixel values above the declared maxval")

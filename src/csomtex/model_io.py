@@ -15,6 +15,7 @@ problems raise FormatError.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import deque
 
@@ -31,14 +32,61 @@ FORMAT_VERSION = 1
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+# bytes hashed per numpy pass, so the work arrays stay about 20 bytes per
+# block byte (a few hundred KB) whatever the input's size
+FNV_BLOCK = 1 << 14
 
 POOLED = "pooled"
 
 
+@functools.cache
+def _prime_powers() -> np.ndarray:
+    """P**FNV_BLOCK, ..., P**2, P mod 2**64, so a block of n bytes reads the last n."""
+    powers = np.multiply.accumulate(np.full(FNV_BLOCK, FNV_PRIME, dtype=np.uint64))[::-1].copy()
+    powers.flags.writeable = False
+    return powers
+
+
+def _prefix_xor(plane: np.ndarray) -> np.ndarray:
+    """Running XOR of a uint8 array of whole 8-byte words, in place: within
+    each word by three shift-XORs, then each word's carry from those before."""
+    words = plane.view("<u8")
+    words ^= words << 8
+    words ^= words << 16
+    words ^= words << 32
+    carry = np.bitwise_xor.accumulate(words >> 56)
+    words[1:] ^= carry[:-1] * 0x0101010101010101
+    return plane
+
+
 def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64 (draft-eastlake-fnv) of a bytes-like object, exactly as the
+    byte loop ``h = ((h ^ b) * FNV_PRIME) mod 2**64``, in numpy blocks.
+
+    The low byte runs its own chain l_i = ((l_{i-1} ^ b_i) * 0xB3) mod 256.
+    As 0xB3 is odd, bit k of l_i is bit k of l_{i-1} XOR a bit that reads
+    only lower bits, so the chain is 8 prefix XORs, one per bit plane.  Then
+    h ^ b_i = h + d_i with d_i = (l_{i-1} ^ b_i) - l_{i-1}, and a block of n
+    bytes takes h to h*P**n + sum(d_i * P**(n-i+1)): one uint64 dot product.
+    """
+    data = np.frombuffer(data, dtype=np.uint8)
+    powers = _prime_powers()
     h = FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * FNV_PRIME) & _MASK64
+    for start in range(0, data.size, FNV_BLOCK):
+        block = data[start : start + FNV_BLOCK]
+        n = block.size
+        if n % 8:  # whole words for the prefix XOR; the zeros after byte n are never read
+            block = np.concatenate((block, np.zeros(-n % 8, dtype=np.uint8)))
+        low = np.zeros(block.size + 1, dtype=np.uint8)  # l_0 .. l_n, one bit plane at a time
+        low[0] = h & 0xFF
+        prev = low[:-1]
+        for k in range(8):
+            # bit k of low is still 0 past l_0, so bit k of u is b_i's, and l_0's seeds plane k
+            u = prev ^ block
+            low[1:] |= _prefix_xor((((u & ((1 << k) - 1)) * (FNV_PRIME & 0xFF)) ^ u) & (1 << k))
+        # |d_i| < 256; the cast to uint64 wraps a negative d_i mod 2**64
+        d = ((prev[:n] ^ block[:n]).astype(np.int16) - prev[:n]).astype(np.uint64)
+        h = (h * int(powers[-n]) + int(np.dot(d, powers[-n:]))) & _MASK64
     return h
 
 

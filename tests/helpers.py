@@ -103,6 +103,15 @@ def knn_oracle(train, x, k: int = 1) -> int:
     return int(votes[int(np.argmax(counts))])
 
 
+def fnv_oracle(data) -> int:
+    """Reference FNV-1a 64: the byte loop of draft-eastlake-fnv.  The numpy
+    ``fnv1a64`` must match it bit for bit."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
 def reseal(text: str) -> str:
     """Recompute the trailing checksum after editing the body, hashing a
     non-ascii character as parse_model does, as one "?"."""

@@ -256,7 +256,9 @@ class TestExtract:
             "--config", str(corpus / "config.json"),
         ])
         assert code == 2
-        assert err == f"error: image {size} smaller than one 8x8 block\n"
+        assert err == (
+            f"error: image 's.pgm' is {size} after preprocessing, smaller than one 8x8 block\n"
+        )
         assert not out.exists()
 
     def test_levels_above_256_fail_before_any_image_is_read(self, tmp_path, capsys):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csomtex import (
     CsomModel,
@@ -25,7 +29,8 @@ from csomtex import (
     train_csom,
     transform_replace,
 )
-from helpers import gaussian_blobs, reseal
+from csomtex.model_io import FNV_BLOCK
+from helpers import fnv_oracle, gaussian_blobs, reseal
 
 ECHO = (("roi_mode", "blockwise"), ("texture_levels", "4"))
 
@@ -51,6 +56,57 @@ class TestFnv1a64:
 
     def test_order_sensitive(self):
         assert fnv1a64(b"ab") != fnv1a64(b"ba")
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.binary(max_size=3 * FNV_BLOCK))
+    # at and across the 8-byte words of the prefix XOR and the hashing blocks
+    @example(b"")
+    @example(b"\xa7")
+    @example(np.random.default_rng(7).bytes(7))
+    @example(np.random.default_rng(8).bytes(8))
+    @example(np.random.default_rng(9).bytes(9))
+    @example(np.random.default_rng(1).bytes(FNV_BLOCK - 1))
+    @example(np.random.default_rng(2).bytes(FNV_BLOCK))
+    @example(np.random.default_rng(3).bytes(FNV_BLOCK + 1))
+    @example(np.random.default_rng(4).bytes(2 * FNV_BLOCK + 5))
+    @example(bytes(2 * FNV_BLOCK + 5))
+    @example(b"\xff" * (2 * FNV_BLOCK + 5))
+    def test_matches_byte_loop(self, data):
+        assert fnv1a64(data) == fnv_oracle(data)
+
+    def test_any_bytes_like(self):
+        data = np.random.default_rng(5).bytes(FNV_BLOCK + 9)
+        digest = fnv_oracle(data)
+        assert fnv1a64(data) == fnv1a64(bytearray(data)) == fnv1a64(memoryview(data)) == digest
+
+    def test_memory_is_bounded_by_blocks(self):
+        data = np.random.default_rng(6).bytes(4 << 20)
+        fnv1a64(b"x")  # the powers table is built once, on the first call
+        tracemalloc.start()
+        try:
+            fnv1a64(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's work arrays; a whole-input pass would need 8 bytes per byte
+        assert peak < 32 * FNV_BLOCK
+
+    def test_multi_block_model(self, tmp_path):
+        data = gaussian_blobs([8, 8, 8, 8, 8], dim=6, seed=4)
+        proj = fit_fisher(data)
+        z = project_dataset(proj, data)
+        model = FittedPipeline(proj, som=init_map(64, 64, z.dim, seed=0, data=z), mode="append")
+        p = tmp_path / "big.model"
+        save_model(p, model)
+        text = p.read_text()
+        body = text[: text.index("[checksum]\n")].encode("ascii")
+        assert len(body) > 10 * FNV_BLOCK
+        assert text.endswith(f"fnv1a64 {fnv_oracle(body):016x}\n")
+        assert serialize_model(load_model(p)) == text
+        pos = len(body) - 2  # the last digit of the last weight, in the last block
+        edited = body[:pos] + (b"1" if body[pos:pos + 1] != b"1" else b"2") + body[pos + 1:]
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
+            parse_model(edited.decode("ascii") + text[len(body):])
 
 
 class TestRoundTrip:

@@ -38,10 +38,10 @@ MODES = ("replace", "append")
 
 HOLDOUT_FRACTION = 0.22
 
-# Units of one map grid.  The training engine's neighbourhood table holds
-# units^2 entries in the smallest integer type that fits, so a 1x4096 map
-# takes 67 MB (int32) and a 64x64 one 33.5 MB (int16); the paper's maps are
-# a few units a side.
+# Units of one map grid.  The training engine's grid-distance class table
+# holds units^2 entries in the smallest unsigned type that fits, so a 1x4096
+# or a 64x64 map takes 33.5 MB (uint16); the paper's maps are a few units a
+# side.
 MAX_MAP_UNITS = 4096
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,12 @@ class TrainingSchedule:
             raise ValueError("need 0 <= alpha_final <= alpha0 <= 1")
         if not 0.0 < self.sigma_final <= self.sigma0:
             raise ValueError("need 0 < sigma_final <= sigma0")
+        # the kernel divides by 2 sigma^2, which must neither underflow to 0
+        # nor overflow to inf
+        for name in ("sigma0", "sigma_final"):
+            sigma = getattr(self, name)
+            if not 0.0 < 2.0 * sigma * sigma < math.inf:
+                raise ValueError(f"{name} {sigma!r} is out of range: 2*{name}**2 must be a positive finite double")
 
     def alpha_at(self, t):
         """The learning rate at step t (an int, or an integer array of steps)."""
@@ -125,7 +132,8 @@ def distances(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 # Map queries, k-NN and Gaussian NB take their query rows in chunks whose
 # (rows, map units or training rows or classes, components) float64
-# temporary holds at most this many bytes.
+# temporary holds at most this many bytes; the training engine's per-segment
+# sample rows and kernel values do too.
 BATCH_BYTES = 1 << 22
 
 
@@ -200,10 +208,11 @@ def neighborhood(som: SomMap, winner: int, unit: int, sigma: float) -> float:
     return float(np.exp(-d2 / (2.0 * sigma * sigma)))
 
 
-# train_maps builds its per-step tables (learning rates, kernel widths and
-# gathered sample rows, for every map still training) at most this many
-# steps at a time, so their memory stays fixed however long the schedules
-# run: at 800 maps of dimension 6, about 6.5 MB.
+# train_maps builds its per-step tables (learning rates times kernel values
+# and gathered sample rows, for every map still training) at most this many
+# steps at a time, and fewer where the sample rows and kernel values would
+# pass BATCH_BYTES, so their memory stays fixed however long the schedules
+# run and however many maps train together.
 STEP_CHUNK = 128
 
 
@@ -248,77 +257,104 @@ def train_maps(maps, datas, scheds) -> list[SomMap]:
     out = [None] * len(maps)
     for (rows, cols, _), members in stacks.items():
         members.sort(key=lambda j: -scheds[j].iterations)  # stable: ties keep call order
-        # component-major (n_maps, dim, units) in memory, so each numpy call
-        # of a step runs along the units
-        W = np.ascontiguousarray(np.stack([maps[j].weights.T for j in members]))
+        # component-major (dim, n_maps, units) in memory, so each numpy call
+        # of a step runs along the contiguous maps x units planes
+        W = np.ascontiguousarray(np.stack([maps[j].weights for j in members]).transpose(2, 0, 1))
         _train_stack(W, cols, [Xs[j] for j in members], [scheds[j] for j in members])
-        for j, weights in zip(members, W):
-            out[j] = SomMap(rows, cols, weights.T.copy())
+        for j, weights in zip(members, W.transpose(1, 2, 0)):
+            out[j] = SomMap(rows, cols, weights.copy())
     return out
 
 
 def _train_stack(W: np.ndarray, cols: int, Xs: list, scheds: list) -> None:
-    """The online loop over a (n_maps, dim, units) stack, in place.
+    """The online loop over a (dim, n_maps, units) stack, in place.
 
     Budgets must not increase along the stack, so the maps still training
-    at step t are always the leading ones, W[:k]; a finished map is never
-    touched again.
+    at step t are always the leading ones, W[:, :k].  They train in a
+    contiguous copy, made afresh whenever maps finish (at most once per
+    distinct budget); a finished map is written back to W and never touched
+    again.
     """
-    units = W.shape[2]
+    dim, _, units = W.shape
     budgets = np.array([s.iterations for s in scheds])
     sizes = np.array([X.shape[0] for X in Xs])
     # every map's rows in one pool; a map's shuffled order indexes its part
-    pool = np.concatenate(Xs)[:, :, None]
+    pool = np.concatenate(Xs)
     firsts = np.cumsum(sizes) - sizes
     orders = np.concatenate(
         [first + np.random.default_rng(s.seed).permutation(size) for first, size, s in zip(firsts, sizes, scheds)]
     )
     ramps = _ramps(scheds)
-    table = _neighborhood_table(units // cols, cols)
-    # a segment ends where a chunk does or a map's budget runs out, so the
-    # same k maps train through all of its steps
-    edges = sorted(set(budgets.tolist()) | set(range(0, int(budgets[0]), STEP_CHUNK)))
-    for t0, t1 in zip(edges, edges[1:]):
-        k = int(np.count_nonzero(budgets > t0))
-        steps = np.arange(t0, t1)[:, None]
-        xs = pool[orders[firsts[:k] + steps % sizes[:k]]]  # (steps, k, dim, 1)
-        _train_segment(W[:k], xs, *_schedule_tables(ramps[:, :k], steps), table)
+    cls, neg_g2 = _grid_classes(units // cols, cols)
+    # the same k maps train from one budget edge to the next, in segments
+    # whose sample rows and kernel values hold at most BATCH_BYTES
+    edges = sorted(set(budgets.tolist()) | {0})
+    counts = [int(np.count_nonzero(budgets > e)) for e in edges[:-1]]
+    spans = [min(STEP_CHUNK, max(1, BATCH_BYTES // (8 * k * (dim + neg_g2.size)))) for k in counts]
+    # one buffer holds every segment's kernel values: a fresh array of each
+    # segment's size fragmented the heap and raised a long run's peak RSS
+    buf = np.empty(max(span * k for span, k in zip(spans, counts)) * neg_g2.size)
+    live = W
+    for e0, e1, k, span in zip(edges, edges[1:], counts, spans):
+        if k < live.shape[1]:
+            W[:, k : live.shape[1]] = live[:, k:]
+            live = live[:, :k].copy()
+        for t0 in range(e0, e1, span):
+            steps = np.arange(t0, min(t0 + span, e1))[:, None]
+            xs = pool[orders[firsts[:k] + steps % sizes[:k]]]  # (steps, k, dim)
+            alpha, width = _schedule_tables(ramps[:, :k], steps)
+            # each step's alpha * exp(-g^2 / (2 sigma^2)) per map and class;
+            # a quotient past the doubles is -inf, a kernel of 0
+            kern = buf[: len(steps) * k * neg_g2.size].reshape(len(steps), k, 1, neg_g2.size)
+            with np.errstate(over="ignore"):
+                np.divide(neg_g2, width, out=kern)
+            np.exp(kern, out=kern)
+            kern *= alpha
+            _train_segment(live, xs.transpose(0, 2, 1)[..., None], kern.reshape(len(steps), -1), cls)
+    W[:, : live.shape[1]] = live
 
 
-def _train_segment(w, xs, alpha, width, table) -> None:
-    """The steps of one segment for the maps ``w`` in place, given each
-    step's sample rows, learning rates and 2 sigma^2.  Its tables and
-    temporaries are freed on return, before the next segment's are built."""
-    dim = w.shape[1]
-    for x, a, w2 in zip(xs, alpha, width):
+def _train_segment(w, xs, kern, cls) -> None:
+    """The steps of one segment for the (dim, k, units) maps ``w`` in place,
+    given each step's (dim, k, 1) sample rows and its (k * classes) learning
+    rates times kernel values, map-major."""
+    dim, k, _ = w.shape
+    offsets = np.arange(k)[:, None] * (kern.shape[1] // k)
+    for x, ak in zip(xs, kern):
         diff = x - w
         sq = diff * diff
         # Sum the squares in the order np.linalg.norm sums a unit's
         # components along its contiguous axis: fewer than 8 terms one
-        # after another, as a sum over the component axis here adds
+        # after another, as a sum over the outer component axis adds
         # them; 8 or more in pairwise blocks, which only a sum along a
         # contiguous copy reproduces.
         if dim < 8:
-            d2 = np.add.reduce(sq, axis=1)
+            d2 = np.add.reduce(sq, axis=0)
         else:
-            d2 = np.add.reduce(np.ascontiguousarray(sq.transpose(0, 2, 1)), axis=2)
+            d2 = np.add.reduce(np.ascontiguousarray(sq.transpose(1, 2, 0)), axis=2)
         # the root keeps ties as np.linalg.norm leaves them; the winner's
-        # row of the table is -(squared grid distance) to every unit
-        h = np.exp(table.take(np.sqrt(d2).argmin(axis=1), axis=0) / w2)
-        w += a * h * diff
+        # row of the class table picks each unit's kernel value
+        diff *= ak.take(cls.take(np.sqrt(d2).argmin(axis=1), axis=0) + offsets)
+        w += diff
 
 
-def _neighborhood_table(rows: int, cols: int) -> np.ndarray:
-    """(units, 1, units) table of -(squared grid distance) between units,
-    in the smallest integer type that holds the largest, so it converts
-    exactly to float64."""
-    dtype = np.min_scalar_type(-((rows - 1) ** 2 + (cols - 1) ** 2))
-    r = np.arange(rows, dtype=dtype)
-    c = np.arange(cols, dtype=dtype)
-    neg_r2 = -((r[:, None] - r) ** 2)
-    neg_c2 = -((c[:, None] - c) ** 2)
-    units = rows * cols
-    return (neg_r2[:, None, :, None] + neg_c2[None, :, None, :]).reshape(units, 1, units)
+def _grid_classes(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid-distance classes of a rows x cols grid: a (units, units)
+    table of each (winner, unit) pair's class, in the smallest unsigned
+    type that holds it, and each class's -(squared grid distance) as a
+    float64."""
+    r2 = np.arange(rows) ** 2
+    c2 = np.arange(cols) ** 2
+    values, classes = np.unique((r2[:, None] + c2).ravel(), return_inverse=True)
+    classes = classes.astype(np.min_scalar_type(values.size - 1)).reshape(rows, cols)
+    # the classes of every row and column offset from -(rows-1), -(cols-1)
+    # on; the window at (rows-1-wr, cols-1-wc) is winner (wr, wc)'s row of
+    # the table, so a reversed window view, copied once into a contiguous
+    # table (which take needs), builds it with no units^2-sized temporary
+    offsets = classes[abs(np.arange(1 - rows, rows))[:, None], abs(np.arange(1 - cols, cols))]
+    windows = np.lib.stride_tricks.sliding_window_view(offsets, (rows, cols))[::-1, ::-1]
+    table = np.ascontiguousarray(windows.reshape(rows * cols, rows * cols))
+    return table, (-values).astype(np.float64)
 
 
 def _ramps(scheds: list) -> np.ndarray:

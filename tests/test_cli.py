@@ -714,10 +714,13 @@ class TestConfigErrors:
             {"evaluate": {"mode": "holdout", "holdout_counts": {"0": 2, "1": -1}}},
             {"map": {"rows": MAX_MAP_UNITS + 1, "cols": 1}},
             {"evaluate": {"columns": [{"pipeline": "raw", "rows": 1, "cols": MAX_MAP_UNITS + 1}]}},
+            {"schedule": {"sigma0": 1.0, "sigma_final": 1e-200}},
+            {"schedule": {"sigma0": 1e200, "sigma_final": 1e200}},
         ],
         ids=["steps_per_sample", "knn_k", "folds", "alpha0", "sigma_final", "fisher_dim",
              "seed", "evaluate_seeds", "holdout_counts_under_cv", "texture_levels",
-             "negative_holdout_count", "map_units", "evaluate_column_map_units"],
+             "negative_holdout_count", "map_units", "evaluate_column_map_units",
+             "sigma_width_underflows", "sigma_width_overflows"],
     )
     def test_bad_setting_fails_before_features_are_read(self, command, setting, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -729,6 +732,23 @@ class TestConfigErrors:
         code, _, err = run(capsys, argv)
         assert code == 1, err
         assert "absent.csv" not in err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize(
+        "schedule, name",
+        [({"sigma0": 1.0, "sigma_final": 1e-200}, "sigma_final"), ({"sigma0": 1e200, "sigma_final": 1e200}, "sigma0")],
+    )
+    def test_kernel_width_out_of_range_names_the_setting(self, schedule, name, tmp_path, capsys):
+        # a sigma whose 2 sigma^2 underflows or overflows fails as a usage
+        # error naming it, before training, with no numpy warning
+        features = tmp_path / "f.csv"
+        features.write_text("f0,f1,label\n0,1,0\n1,0,0\n5,6,1\n6,5,1\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schedule": schedule}))
+        code, out, err = run(capsys, ["train", str(features), "--config", str(cfg), "-o", str(tmp_path / "m.txt")])
+        assert code == 1 and out == ""
+        assert f"{name} " in err and "must be a positive finite double" in err
+        assert "Warning" not in err
         assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize(

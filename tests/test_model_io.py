@@ -29,7 +29,8 @@ from csomtex import (
     train_csom,
     transform_replace,
 )
-from csomtex.model_io import FNV_BLOCK
+from csomtex.data import format_value
+from csomtex.model_io import FNV_BLOCK, _row_lines
 from helpers import fnv_oracle, gaussian_blobs, reseal
 
 ECHO = (("roi_mode", "blockwise"), ("texture_levels", "4"))
@@ -160,6 +161,21 @@ class TestRoundTrip:
         text = serialize_model(model)
         noisy = reseal(text.replace("[model]\n", "# a note\n\n[model]\n\n", 1))
         assert serialize_model(parse_model(noisy)) == text
+
+
+class TestRowLines:
+    def test_rows_match_per_value_format(self):
+        # one "%.17g" template per row writes what format_value writes for
+        # each value, signed zeros, subnormals and the extremes included
+        rng = np.random.default_rng(5)
+        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308, 1.0, 0.1, 1 / 3])
+        for cols in (1, 2, 6, 9):
+            m = rng.normal(size=(40, cols)) * 10.0 ** rng.integers(-300, 300, size=(40, cols))
+            m.flat[rng.choice(m.size, size=min(m.size, 30), replace=False)] = rng.choice(special, size=min(m.size, 30))
+            expected = [" ".join(format_value(v) for v in row) for row in m]
+            assert _row_lines(m) == expected
+        assert _row_lines(special[None, :]) == [" ".join(format_value(v) for v in special)]
+        assert _row_lines(special[None, :])[0].split()[:3] == ["-0", "0", "4.9406564584124654e-324"]
 
 
 class TestCorruption:

@@ -27,10 +27,12 @@ from csomtex import (
 )
 from csomtex.evaluation import MAX_MAP_UNITS
 from csomtex.som import (
+    BATCH_BYTES,
     STEP_CHUNK,
-    _neighborhood_table,
+    _grid_classes,
     _ramps,
     _schedule_tables,
+    _train_segment,
     compose,
     winning_prototypes,
 )
@@ -181,6 +183,17 @@ class TestSchedule:
             TrainingSchedule(iterations=10, sigma0=0.0, sigma_final=0.0)
         # alpha_final = 0 is allowed (training freezes at the end)
         TrainingSchedule(iterations=10, alpha_final=0.0)
+
+    @pytest.mark.parametrize(
+        "sigma0, sigma_final, name",
+        [(1.0, 1e-200, "sigma_final"), (1e200, 1e200, "sigma0"), (math.inf, 0.5, "sigma0")],
+        ids=["width_underflows", "width_overflows", "infinite"],
+    )
+    def test_kernel_width_must_be_a_positive_finite_double(self, sigma0, sigma_final, name):
+        with pytest.raises(ValueError, match=rf"^{name} .* 2\*{name}\*\*2 must be a positive finite double$"):
+            TrainingSchedule(iterations=10, sigma0=sigma0, sigma_final=sigma_final)
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(sigma0=sigma0, sigma_final=sigma_final)
 
     def test_default_schedule_shape(self):
         # every training schedule comes from ExperimentConfig.schedule; here its defaults
@@ -380,24 +393,72 @@ class TestTrainMaps:
             )
         self.check(maps, datas, scheds)
 
-    @pytest.mark.parametrize("rows, cols, dtype", [(64, 64, np.int16), (1, MAX_MAP_UNITS, np.int32)])
-    def test_grids_at_the_unit_cap(self, rows, cols, dtype):
+    @pytest.mark.parametrize("rows, cols", [(64, 64), (1, MAX_MAP_UNITS)])
+    def test_grids_at_the_unit_cap(self, rows, cols):
         assert rows * cols == MAX_MAP_UNITS
-        assert _neighborhood_table(rows, cols).dtype == dtype
         rng = np.random.default_rng(3)
         X = rng.normal(size=(5, 2))
         som = init_map(rows, cols, 2, seed=1, data=X)
         sched = TrainingSchedule(iterations=3, sigma0=40.0, sigma_final=2.0, seed=2)
         self.check([som, som], [X, X[::-1]], [sched, TrainingSchedule(2, sigma0=3.0)])
 
-    def test_neighborhood_table(self):
-        som = SomMap(3, 4, np.zeros((12, 1)))
-        table = _neighborhood_table(3, 4)
-        assert table.shape == (12, 1, 12) and table.dtype == np.int8
-        for w in range(12):
-            for u in range(12):
-                assert math.exp(table[w, 0, u] / 2.0) == neighborhood(som, w, u, 1.0)
-        assert _neighborhood_table(1, 1).tolist() == [[[0]]]
+    def test_segments_cut_by_batch_bytes(self, monkeypatch):
+        # 40 maps of 24x24 hold more sample rows and kernel values per step
+        # than BATCH_BYTES takes STEP_CHUNK steps of, so the 99 steps that
+        # 32 maps train together run as one byte-capped segment and a
+        # shorter one that the budget of 100 ends
+        segments = []
+
+        def spy(w, xs, kern, cls):
+            segments.append((w.shape[1], len(kern)))
+            _train_segment(w, xs, kern, cls)
+
+        monkeypatch.setattr("csomtex.som._train_segment", spy)
+        rng = np.random.default_rng(11)
+        budgets = [1, 100, 101, 230, 231]
+        maps, datas, scheds = [], [], []
+        for j in range(40):
+            X = rng.normal(size=(int(rng.integers(1, 9)), 3))
+            maps.append(init_map(24, 24, 3, seed=j, data=X))
+            datas.append(X)
+            scheds.append(TrainingSchedule(budgets[j % len(budgets)], sigma0=6.0, sigma_final=0.7, seed=j))
+        self.check(maps, datas, scheds)
+        classes = _grid_classes(24, 24)[1].size
+        cap = {k: BATCH_BYTES // (8 * k * (3 + classes)) for k, _ in segments}
+        assert all(steps <= min(STEP_CHUNK, cap[k]) for k, steps in segments)
+        assert (32, cap[32]) in segments and cap[32] < 99 < STEP_CHUNK
+        assert sum(steps for _, steps in segments) == max(budgets)
+
+    def test_kernel_below_the_doubles_is_zero(self):
+        # 2 sigma^2 is subnormal, so -g^2 / (2 sigma^2) overflows to -inf
+        # for every unit off the winner: a kernel of 0, with no warning
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(6, 3))
+        som = init_map(3, 3, 3, seed=1, data=X)
+        sched = TrainingSchedule(iterations=9, sigma0=2e-160, sigma_final=1e-160, seed=3)
+        with np.errstate(over="ignore"):
+            oracle = train_oracle(som, X, sched)
+        out = train(som, X, sched)  # a RuntimeWarning fails the test (pyproject)
+        np.testing.assert_array_equal(bits(out.weights), bits(oracle))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (6, 1), (3, 4), (5, 5)])
+    def test_class_table_matches_the_kernel(self, rows, cols):
+        som = SomMap(rows, cols, np.zeros((rows * cols, 1)))
+        cls, neg_g2 = _grid_classes(rows, cols)
+        assert cls.shape == (rows * cols, rows * cols) and cls.dtype == np.uint8
+        assert neg_g2.dtype == np.float64 and neg_g2[0] == 0.0
+        for sigma in (0.4, 1.0, 2.5):
+            width = 2.0 * sigma * sigma
+            for w in range(rows * cols):
+                for u in range(rows * cols):
+                    assert math.exp(neg_g2[cls[w, u]] / width) == neighborhood(som, w, u, sigma)
+
+    @pytest.mark.parametrize("rows, cols, classes", [(64, 64, 1576), (1, MAX_MAP_UNITS, MAX_MAP_UNITS)])
+    def test_class_table_at_the_unit_cap(self, rows, cols, classes):
+        cls, neg_g2 = _grid_classes(rows, cols)
+        assert neg_g2.size == classes
+        assert cls.dtype == np.uint16 and cls.nbytes == 2 * MAX_MAP_UNITS**2
+        assert cls.flags.c_contiguous  # take copies any other table at every step
 
     def test_schedule_tables_match_the_schedules(self):
         scheds = [

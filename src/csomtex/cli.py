@@ -28,7 +28,7 @@ from .data import (
     class_id,
     dataset_to_csv,
     float_fields,
-    format_value,
+    format_rows,
     int_field,
     read_dataset,
     read_text,
@@ -196,32 +196,24 @@ def cmd_classify(args) -> int:
     feats = project_dataset(model.fisher, data)
     preds, errors = classify_dataset(model.csom, feats.without_labels())
     if args.vector is not None:
-        errs = [format_value(e) for e in errors[0]] if args.errors else []
-        print(" ".join([str(int(preds[0]))] + errs))
+        print(" ".join([str(int(preds[0]))] + (format_rows(errors, " ") if args.errors else [])))
         return 0
 
-    header = ["row", "predicted"]
-    err_cols = [f"err_{cid}" for cid in model.csom.class_ids] if args.errors else []
-    labeled = bool((data.labels != UNLABELED).any())
-    if labeled:
-        header.insert(1, "label")
-    lines = [",".join(header + err_cols)]
-    correct = 0
-    total = 0
-    for i, cid in enumerate(preds):
-        cells = [str(i), str(int(cid))]
-        if labeled:
-            true = int(data.labels[i])
-            cells.insert(1, "" if true == UNLABELED else str(true))
-            if true != UNLABELED:
-                total += 1
-                correct += int(true == cid)
-        if args.errors:
-            cells.extend(format_value(e) for e in errors[i])
-        lines.append(",".join(cells))
+    labeled = data.labels != UNLABELED
+    header, columns = ["row"], [map(str, range(data.n))]
+    if labeled.any():
+        header.append("label")
+        columns.append(["" if label == UNLABELED else str(label) for label in data.labels.tolist()])
+    header.append("predicted")
+    columns.append(map(str, preds.tolist()))
+    if args.errors:
+        header += [f"err_{cid}" for cid in model.csom.class_ids]
+        columns.append(format_rows(errors, ","))
+    lines = [",".join(header)] + [",".join(cells) for cells in zip(*columns)]
     _emit(args.output, "\n".join(lines) + "\n")
-    if labeled and total:
-        print(f"accuracy {correct / total:.4f} ({correct}/{total})", file=sys.stderr)
+    if labeled.any():
+        hits = (preds == data.labels)[labeled]
+        print(f"accuracy {hits.mean():.4f} ({hits.sum()}/{hits.size})", file=sys.stderr)
     return 0
 
 

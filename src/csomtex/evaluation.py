@@ -384,29 +384,28 @@ class FoldModels:
         return self.pipeline.som
 
 
-def _fold_models(pipeline: FittedPipeline, features: Dataset, cfg: ExperimentConfig):
-    """The fold's classifier input, its training split composed in the
-    config's mode, and a GNB model on it when the classifier is GNB."""
-    return FoldModels(pipeline, features, gnb_fit(features) if cfg.classifier == "gnb" else None)
-
-
-def _predict(models: FoldModels, test_lookup: tuple, cfg: ExperimentConfig) -> np.ndarray:
-    """Classify the test split's lookup, composed in the config's mode."""
+def _predict(
+    features: Dataset, gnb: GaussianNbModel | None, test_lookup: tuple, cfg: ExperimentConfig
+) -> np.ndarray:
+    """Classify the test split's lookup, composed in the config's mode: by
+    k-NN over the classifier input ``features``, or by ``gnb``."""
     X = compose(*test_lookup, cfg.pipeline_parts[1]).X
     if cfg.classifier == "knn":
-        return knn_predict_batch(models.train_features, X, cfg.knn_k)
-    return models.gnb.predict_batch(X)
+        return knn_predict_batch(features, X, cfg.knn_k)
+    return gnb.predict_batch(X)
 
 
 def fit_fold(train_split: Dataset, cfg: ExperimentConfig) -> FoldModels:
     """Fit Fisher, the configured map(s), and the classifier on one split."""
     pipeline = FittedPipeline.fit(train_split, cfg)
-    return _fold_models(pipeline, pipeline.transform(train_split, cfg.pipeline_parts[1]), cfg)
+    features = pipeline.transform(train_split, cfg.pipeline_parts[1])
+    return FoldModels(pipeline, features, gnb_fit(features) if cfg.classifier == "gnb" else None)
 
 
 def predict_fold(models: FoldModels, test_split: Dataset, cfg: ExperimentConfig) -> np.ndarray:
     """Predict test labels; the transform never sees them."""
-    return _predict(models, models.pipeline.lookup(test_split.without_labels()), cfg)
+    test_lookup = models.pipeline.lookup(test_split.without_labels())
+    return _predict(models.train_features, models.gnb, test_lookup, cfg)
 
 
 def _score(
@@ -468,14 +467,13 @@ def _evaluate(
             pipeline = store["fit", fit, fold]
             train_lookup = _shared(store, ("train", fit, fold), pipeline.lookup, train_split)
             features = _shared(store, ("features", fit, fold, mode), compose, *train_lookup, mode)
-            models = _shared(
-                store, ("models", fit, fold, mode, cfg.classifier == "gnb"),
-                _fold_models, pipeline, features, cfg,
-            )
+            gnb = None
+            if cfg.classifier == "gnb":
+                gnb = _shared(store, ("gnb", fit, fold, mode), gnb_fit, features)
             test_lookup = _shared(
                 store, ("test", fit, fold), pipeline.lookup, test_split.without_labels()
             )
-            preds = _predict(models, test_lookup, cfg)
+            preds = _predict(features, gnb, test_lookup, cfg)
         except (DataError, ValueError) as exc:
             raise DataError(f"fold {fold}: {exc}") from exc
         accuracies.append(_score(class_ids, test_split.labels, preds, confusion))

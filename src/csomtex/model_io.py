@@ -22,7 +22,7 @@ from collections import deque
 import numpy as np
 
 from .csom import CsomModel
-from .data import float_fields, int_field, read_text, write_atomic
+from .data import float_fields, format_rows, int_field, read_text, write_atomic
 from .errors import FormatError, IntegrityError
 from .evaluation import MODES, FittedPipeline
 from .fisher import FisherProjection
@@ -90,16 +90,9 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _row_lines(m: np.ndarray) -> list[str]:
-    """Each row of the float64 matrix ``m`` as one line of space-separated
-    values, each as ``format_value`` writes it, by one ``%`` per row."""
-    template = " ".join(["%.17g"] * m.shape[1])
-    return [template % row for row in map(tuple, m.tolist())]
-
-
 def _matrix_lines(name: str, m: np.ndarray) -> list[str]:
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    return [f"[matrix {name} {m.shape[0]} {m.shape[1]}]"] + _row_lines(m)
+    return [f"[matrix {name} {m.shape[0]} {m.shape[1]}]"] + format_rows(m, " ")
 
 
 def serialize_model(model: FittedPipeline) -> str:
@@ -122,7 +115,7 @@ def serialize_model(model: FittedPipeline) -> str:
     lines.extend(_matrix_lines("lda", model.fisher.lda_basis))
     for tag, som in entries:
         lines.append(f"[som {tag} {som.rows} {som.cols}]")
-        lines.extend(_row_lines(som.weights))
+        lines.extend(format_rows(som.weights, " "))
     body = "\n".join(lines) + "\n"
     digest = fnv1a64(body.encode("ascii"))
     return body + "[checksum]\n" + f"fnv1a64 {digest:016x}\n"

@@ -67,11 +67,15 @@ class TrainingSchedule:
         if not 0.0 < self.sigma_final <= self.sigma0:
             raise ValueError("need 0 < sigma_final <= sigma0")
         # the kernel divides by 2 sigma^2, which must neither underflow to 0
-        # nor overflow to inf
+        # nor overflow to inf.  sigma_final is checked where the ramp ends,
+        # which rounds to 0 when sigma_final is below half an ulp of sigma0;
+        # sigma0 first, as the ramp from an infinite sigma0 is NaN
         for name in ("sigma0", "sigma_final"):
-            sigma = getattr(self, name)
+            last = max(self.iterations - 1, 1)
+            sigma = self.sigma0 if name == "sigma0" else float(self.sigma_at(last))
             if not 0.0 < 2.0 * sigma * sigma < math.inf:
-                raise ValueError(f"{name} {sigma!r} is out of range: 2*{name}**2 must be a positive finite double")
+                value = getattr(self, name)
+                raise ValueError(f"{name} {value!r} is out of range: 2*{name}**2 must be a positive finite double")
 
     def alpha_at(self, t):
         """The learning rate at step t (an int, or an integer array of steps)."""

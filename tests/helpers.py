@@ -120,6 +120,12 @@ def reseal(text: str) -> str:
     return body + "[checksum]\n" + f"fnv1a64 {digest:016x}\n"
 
 
+def format_value(v: float) -> str:
+    """Reference float writer: one value at 17 significant digits, as every
+    text output wrote it before ``format_rows``, which must match it."""
+    return format(float(v), ".17g")
+
+
 def bits(a: np.ndarray) -> np.ndarray:
     """The raw float64 bits, so equality is bitwise (-0.0 != 0.0)."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)

@@ -31,9 +31,9 @@ from csomtex import (
 )
 from csomtex.cli import main, read_manifest
 from csomtex.config import ToolConfig, load_config
-from csomtex.data import dataset_to_csv
+from csomtex.data import UNLABELED, dataset_to_csv
 from csomtex.evaluation import MAX_MAP_UNITS
-from helpers import gaussian_blobs, reseal
+from helpers import format_value, gaussian_blobs, reseal
 
 CLASSES = 3
 PER_CLASS = 6
@@ -402,6 +402,57 @@ class TestClassify:
         errors = [float(v) for v in row[3:]]
         assert min(errors) == errors[int(row[2])]
 
+    @staticmethod
+    def _expected_csv(model_file, data: Dataset, errors: bool) -> str:
+        """classify's CSV for ``data``, one library call and one cell at a
+        time: the label column only when some row is labeled, empty for an
+        unlabeled row."""
+        model = load_model(model_file)
+        labeled = bool((data.labels != UNLABELED).any())
+        header = ["row"] + ["label"] * labeled + ["predicted"]
+        header += [f"err_{cid}" for cid in model.csom.class_ids] * errors
+        lines = [",".join(header)]
+        for i, (x, label) in enumerate(zip(data.X, data.labels.tolist())):
+            cid, errs = classify(model.csom, project(model.fisher, x))
+            cells = [str(i)] + ["" if label == UNLABELED else str(label)] * labeled + [str(cid)]
+            lines.append(",".join(cells + [format_value(e) for e in errs] * errors))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("errors", [False, True], ids=["plain", "errors"])
+    def test_unlabeled_rows_have_no_label_column_and_no_accuracy(
+        self, features_csv, model_file, errors, tmp_path, capsys
+    ):
+        data = read_dataset(features_csv).without_labels()
+        path = tmp_path / "u.csv"
+        path.write_text(dataset_to_csv(data))
+        code, out, err = run(capsys, ["classify", str(model_file), str(path)] + ["--errors"] * errors)
+        assert (code, err) == (0, "")
+        assert out.split("\n", 1)[0] == ("row,predicted,err_0,err_1,err_2" if errors else "row,predicted")
+        assert out == self._expected_csv(model_file, data, errors)
+
+    @pytest.mark.parametrize("errors", [False, True], ids=["plain", "errors"])
+    def test_mixed_rows_count_accuracy_over_labeled_rows_only(
+        self, features_csv, model_file, errors, tmp_path, capsys
+    ):
+        # every third row unlabeled and row 1 mislabeled: the accuracy counts
+        # the 12 labeled rows, one of them wrong
+        full = read_dataset(features_csv)
+        labels = full.labels.copy()
+        labels[::3] = UNLABELED
+        labels[1] = (labels[1] + 1) % CLASSES
+        data = Dataset(full.X, labels)
+        path = tmp_path / "m.csv"
+        path.write_text(dataset_to_csv(data))
+        out_file = tmp_path / "c.csv"
+        argv = ["classify", str(model_file), str(path), "-o", str(out_file)] + ["--errors"] * errors
+        code, out, err = run(capsys, argv)
+        total = CLASSES * PER_CLASS - CLASSES * PER_CLASS // 3
+        assert (code, out) == (0, "")
+        assert err == f"accuracy {(total - 1) / total:.4f} ({total - 1}/{total})\n"
+        text = out_file.read_text()
+        assert text.split("\n", 2)[1].startswith("0,,")
+        assert text == self._expected_csv(model_file, data, errors)
+
     def test_vector(self, features_csv, model_file, capsys):
         first = features_csv.read_text().splitlines()[1]
         vec = ",".join(first.split(",")[:-1])
@@ -716,11 +767,12 @@ class TestConfigErrors:
             {"evaluate": {"columns": [{"pipeline": "raw", "rows": 1, "cols": MAX_MAP_UNITS + 1}]}},
             {"schedule": {"sigma0": 1.0, "sigma_final": 1e-200}},
             {"schedule": {"sigma0": 1e200, "sigma_final": 1e200}},
+            {"schedule": {"sigma0": 1.0, "sigma_final": 1e-17}},
         ],
         ids=["steps_per_sample", "knn_k", "folds", "alpha0", "sigma_final", "fisher_dim",
              "seed", "evaluate_seeds", "holdout_counts_under_cv", "texture_levels",
              "negative_holdout_count", "map_units", "evaluate_column_map_units",
-             "sigma_width_underflows", "sigma_width_overflows"],
+             "sigma_width_underflows", "sigma_width_overflows", "sigma_ramp_ends_at_zero"],
     )
     def test_bad_setting_fails_before_features_are_read(self, command, setting, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -736,7 +788,13 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "schedule, name",
-        [({"sigma0": 1.0, "sigma_final": 1e-200}, "sigma_final"), ({"sigma0": 1e200, "sigma_final": 1e200}, "sigma0")],
+        [
+            ({"sigma0": 1.0, "sigma_final": 1e-200}, "sigma_final"),
+            ({"sigma0": 1e200, "sigma_final": 1e200}, "sigma0"),
+            # the ramp's last step rounds sigma to 0, which would make every map NaN
+            ({"sigma0": 1.0, "sigma_final": 1e-17}, "sigma_final"),
+            ({"sigma0": 3.0, "sigma_final": 2e-16}, "sigma_final"),
+        ],
     )
     def test_kernel_width_out_of_range_names_the_setting(self, schedule, name, tmp_path, capsys):
         # a sigma whose 2 sigma^2 underflows or overflows fails as a usage

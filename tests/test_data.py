@@ -19,7 +19,8 @@ from csomtex import (
     dataset_to_csv,
     read_dataset,
 )
-from csomtex.data import format_value, require_labels, write_atomic
+from csomtex.data import format_rows, require_labels, write_atomic
+from helpers import format_value
 
 
 class TestDataset:
@@ -109,6 +110,7 @@ class TestCsv:
         vals = [0.1, 1.0 / 3.0, -0.0, 1e-308, 1.7976931348623157e308]
         for v in vals:
             assert float(format_value(v)) == v
+        assert [float(cell) for cell in format_rows(np.array([vals]), ",")[0].split(",")] == vals
 
     def test_bad_inputs(self):
         with pytest.raises(FormatError):

@@ -29,9 +29,9 @@ from csomtex import (
     train_csom,
     transform_replace,
 )
-from csomtex.data import format_value
-from csomtex.model_io import FNV_BLOCK, _row_lines
-from helpers import fnv_oracle, gaussian_blobs, reseal
+from csomtex.data import format_rows
+from csomtex.model_io import FNV_BLOCK
+from helpers import fnv_oracle, format_value, gaussian_blobs, reseal
 
 ECHO = (("roi_mode", "blockwise"), ("texture_levels", "4"))
 
@@ -166,16 +166,18 @@ class TestRoundTrip:
 class TestRowLines:
     def test_rows_match_per_value_format(self):
         # one "%.17g" template per row writes what format_value writes for
-        # each value, signed zeros, subnormals and the extremes included
+        # each value, signed zeros, subnormals and the extremes included,
+        # with the model file's space and the CSV's comma alike
         rng = np.random.default_rng(5)
         special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308, 1.0, 0.1, 1 / 3])
-        for cols in (1, 2, 6, 9):
-            m = rng.normal(size=(40, cols)) * 10.0 ** rng.integers(-300, 300, size=(40, cols))
-            m.flat[rng.choice(m.size, size=min(m.size, 30), replace=False)] = rng.choice(special, size=min(m.size, 30))
-            expected = [" ".join(format_value(v) for v in row) for row in m]
-            assert _row_lines(m) == expected
-        assert _row_lines(special[None, :]) == [" ".join(format_value(v) for v in special)]
-        assert _row_lines(special[None, :])[0].split()[:3] == ["-0", "0", "4.9406564584124654e-324"]
+        for sep in (" ", ","):
+            for cols in (1, 2, 6, 9):
+                m = rng.normal(size=(40, cols)) * 10.0 ** rng.integers(-300, 300, size=(40, cols))
+                m.flat[rng.choice(m.size, size=min(m.size, 30), replace=False)] = rng.choice(special, size=min(m.size, 30))
+                expected = [sep.join(format_value(v) for v in row) for row in m]
+                assert format_rows(m, sep) == expected
+            assert format_rows(special[None, :], sep) == [sep.join(format_value(v) for v in special)]
+            assert format_rows(special[None, :], sep)[0].split(sep)[:3] == ["-0", "0", "4.9406564584124654e-324"]
 
 
 class TestCorruption:

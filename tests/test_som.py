@@ -186,8 +186,15 @@ class TestSchedule:
 
     @pytest.mark.parametrize(
         "sigma0, sigma_final, name",
-        [(1.0, 1e-200, "sigma_final"), (1e200, 1e200, "sigma0"), (math.inf, 0.5, "sigma0")],
-        ids=["width_underflows", "width_overflows", "infinite"],
+        [
+            (1.0, 1e-200, "sigma_final"),
+            (1e200, 1e200, "sigma0"),
+            (math.inf, 0.5, "sigma0"),
+            # sigma_final below half an ulp of sigma0: the ramp's last step rounds to 0
+            (1.0, 1e-17, "sigma_final"),
+            (3.0, 2e-16, "sigma_final"),
+        ],
+        ids=["width_underflows", "width_overflows", "infinite", "ramp_ends_at_zero", "ramp_ends_at_zero_from_3"],
     )
     def test_kernel_width_must_be_a_positive_finite_double(self, sigma0, sigma_final, name):
         with pytest.raises(ValueError, match=rf"^{name} .* 2\*{name}\*\*2 must be a positive finite double$"):
